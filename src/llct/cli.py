@@ -45,6 +45,15 @@ def _parse_half(text: str) -> Fraction:
     return v
 
 
+def _parse_q(text: str) -> int:
+    q = int(text) if text.isdigit() else 0
+    # the bound keeps the trial division in is_prime_power under 2**16 steps
+    if not (q < 2 ** 32 and session.is_prime_power(q)):
+        raise argparse.ArgumentTypeError(
+            f"q must be a prime power below 2**32, got {text!r}")
+    return q
+
+
 def cmd_classify(args):
     r = parse_wd(args.expr)
     _emit(extended_point_of(r).render())
@@ -156,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="llct",
         description="exact local Langlands / Weil-Deligne computations")
-    ap.add_argument("--q", type=int, default=3,
+    ap.add_argument("--q", type=_parse_q, default=3,
                     help="residue cardinality (fixed per session, default 3)")
     sub = ap.add_subparsers(dest="verb", required=True)
 

@@ -11,6 +11,7 @@ kernel, and characteristic-polynomial code is written once.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .session import get_q, q_pow, q_is_square
@@ -35,10 +36,6 @@ class QPoly:
     def const(v):
         v = Fraction(v)
         return QPoly({0: v} if v else {})
-
-    @staticmethod
-    def x(k=1):
-        return QPoly({k: Q1})
 
     def degree(self):
         return max(self.c) if self.c else -1
@@ -104,17 +101,6 @@ class QPoly:
             return a
         return a * (Q1 / a.c[a.degree()])
 
-    def eval(self, v: Fraction) -> Fraction:
-        out = Q0
-        for k, c in self.c.items():
-            out += c * v ** k
-        return out
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self * (Q1 / self.c[self.degree()])
-
     def __repr__(self):
         return f"QPoly({self.c})"
 
@@ -144,10 +130,6 @@ class RatX:
     def const(v):
         return RatX(QPoly.const(v), reduce=False)
 
-    @staticmethod
-    def from_qpoly(p: QPoly):
-        return RatX(p, reduce=False)
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -174,12 +156,6 @@ class RatX:
         if self.is_zero():
             raise ZeroDivisionError("RatX inverse of zero")
         return RatX(self.den, self.num)
-
-    def eval(self, v: Fraction) -> Fraction:
-        d = self.den.eval(v)
-        if d == 0:
-            raise ZeroDivisionError("RatX pole at evaluation point")
-        return self.num.eval(v) / d
 
     def is_const(self):
         return self.num.degree() <= 0 and self.den.degree() == 0
@@ -430,21 +406,61 @@ def mat_inverse(F, M):
 
 
 def charpoly(F, M):
-    """Coefficients [c_0, ..., c_n] of det(X*I - M) via Faddeev-LeVerrier."""
+    """Coefficients [c_0, ..., c_n] of det(X*I - M); M is not modified.
+
+    M is reduced to upper Hessenberg form H by similarity transforms, and
+    the characteristic polynomials p_k of the leading k x k blocks of H
+    follow from the recurrence (Cohen, GTM 138, Alg. 2.2.9)
+
+        p_{k+1} = (X - h_kk) p_k - sum_{i<k} h_ik h_{i+1,i} ... h_{k,k-1} p_i
+
+    in O(n^3) field operations.
+    """
     n = len(M)
-    coeffs = [F.zero] * (n + 1)
-    coeffs[n] = F.one
-    Mk = identity(F, n)
-    for k in range(1, n + 1):
-        Mk = mat_mul(F, M, Mk)
-        tr = F.zero
-        for i in range(n):
-            tr = F.add(tr, Mk[i][i])
-        ck = F.mul(F.neg(F.inv(F.from_int(k))), tr)
-        coeffs[n - k] = ck
-        for i in range(n):
-            Mk[i][i] = F.add(Mk[i][i], ck)
-    return coeffs
+    H = [list(r) for r in M]
+    for c in range(n - 2):
+        r = c + 1
+        piv = next((i for i in range(r, n) if not F.is_zero(H[i][c])), None)
+        if piv is None:
+            continue
+        if piv != r:
+            H[piv], H[r] = H[r], H[piv]
+            for row in H:
+                row[piv], row[r] = row[r], row[piv]
+        inv = F.inv(H[r][c])
+        for i in range(r + 1, n):
+            if F.is_zero(H[i][c]):
+                continue
+            u = F.mul(H[i][c], inv)
+            # row_i -= u * row_r, then column_r += u * column_i
+            hi, hr = H[i], H[r]
+            for j in range(c, n):
+                if not F.is_zero(hr[j]):
+                    hi[j] = F.sub(hi[j], F.mul(u, hr[j]))
+            for row in H:
+                if not F.is_zero(row[i]):
+                    row[r] = F.add(row[r], F.mul(u, row[i]))
+    p = [[F.one]]
+    for k in range(n):
+        nxt = [F.zero] + p[k]
+        _axpy(F, nxt, F.neg(H[k][k]), p[k])
+        t = F.one
+        for i in range(k - 1, -1, -1):
+            t = F.mul(t, H[i + 1][i])
+            if F.is_zero(t):
+                break
+            _axpy(F, nxt, F.neg(F.mul(H[i][k], t)), p[i])
+        p.append(nxt)
+    return p[n]
+
+
+def _axpy(F, acc, f, poly):
+    """acc += f * poly, coefficientwise (acc at least as long as poly)."""
+    if F.is_zero(f):
+        return
+    for d, c in enumerate(poly):
+        if not F.is_zero(c):
+            acc[d] = F.add(acc[d], F.mul(f, c))
 
 
 def row_space_basis(F, vectors):
@@ -484,13 +500,6 @@ def subspace_intersect(F, U, V):
     return row_space_basis(F, out)
 
 
-def in_span(F, vectors, v):
-    if not vectors:
-        return all(F.is_zero(e) for e in v)
-    tr = [[vec[j] for vec in vectors] for j in range(len(v))]
-    return solve(F, tr, v) is not None
-
-
 def coords_in_basis(F, basis, v):
     tr = [[vec[j] for vec in basis] for j in range(len(v))]
     return solve(F, tr, v)
@@ -520,77 +529,75 @@ def _factorize(n: int) -> dict[int, int]:
 
 
 def _int_divisors(n: int):
-    n = abs(n)
-    if n == 0:
-        return [1]
+    """Sorted positive divisors of n != 0."""
     divs = [1]
-    for p, e in _factorize(n).items():
+    for p, e in _factorize(abs(n)).items():
         divs = [d * p ** k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
 
 def rational_roots(coeffs: list[Fraction]):
-    """All rational roots (with multiplicity) of sum coeffs[i] X^i."""
-    import math
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    if len(coeffs) <= 1:
+    """All rational roots (with multiplicity) of sum coeffs[i] X^i.
+
+    Works on the primitive integer multiple f of the polynomial.  A root
+    a/b in lowest terms (b > 0) has a | f(0) and b | lead(f), and by
+    Gauss's lemma (bX - a) divides f in Z[X], so also (b - a) | f(1) and
+    (b + a) | f(-1).  Pairs (a, b) that pass these filters are tested by
+    Horner evaluation in Z and divided out exactly in Z[X].
+    """
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    f = [int(c * den) for c in coeffs]
+    while f and f[-1] == 0:
+        f.pop()
+    if len(f) <= 1:
         return []
-    roots = []
-    while coeffs and coeffs[0] == 0:
-        roots.append(Q0)
-        coeffs = coeffs[1:]
-    if len(coeffs) <= 1:
-        return roots
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    cands = []
-    for p in _int_divisors(ints[0]):
-        for q in _int_divisors(ints[-1]):
-            if math.gcd(p, q) == 1:
-                cands.extend([Fraction(p, q), Fraction(-p, q)])
-    cands = sorted(set(cands))
-    for c in cands:
-        while _eval_int_poly_at(ints, c) == 0:
-            roots.append(c)
-            ints = _deflate_list(ints, c)
-            if len(ints) <= 1:
-                return roots
+    zeros = next(i for i, c in enumerate(f) if c)
+    roots = [Q0] * zeros
+    f = f[zeros:]
+    g = math.gcd(*f)
+    f = [c // g for c in f]
+    nums = _int_divisors(f[0])
+    f1, fm1 = sum(f), _eval_int_poly(f, -1, 1)
+    for b in _int_divisors(f[-1]):
+        if f[-1] % b:
+            continue
+        for a0 in nums:
+            if f[0] % a0:
+                continue
+            for a in (a0, -a0):
+                while (_divides(b - a, f1) and _divides(b + a, fm1)
+                       and math.gcd(a, b) == 1 and _eval_int_poly(f, a, b) == 0):
+                    roots.append(Fraction(a, b))
+                    f = _deflate_int(f, a, b)
+                    if len(f) == 1:
+                        return roots
+                    f1, fm1 = sum(f), _eval_int_poly(f, -1, 1)
     return roots
 
 
-def _eval_int_poly_at(ints, v: Fraction) -> int:
-    """b^deg * p(a/b) as an exact integer (zero iff v is a root)."""
-    a, b = v.numerator, v.denominator
+def _divides(d: int, n: int) -> bool:
+    return n % d == 0 if d else n == 0
+
+
+def _eval_int_poly(f, a: int, b: int) -> int:
+    """b^deg * f(a/b) as an exact integer (zero iff a/b is a root)."""
     out = 0
     bp = 1
-    for c in reversed(ints):
+    for c in reversed(f):
         out = out * a + c * bp
         bp *= b
     return out
 
 
-def _deflate_list(ints, root: Fraction):
-    """Divide by (X - root), exact by assumption; denominators re-cleared."""
-    import math
-    n = len(ints) - 1
-    out = [Fraction(0)] * n
-    acc = Fraction(ints[n])
+def _deflate_int(f, a: int, b: int):
+    """f / (bX - a) in Z[X]; exact when f(a/b) = 0 and gcd(a, b) = 1."""
+    n = len(f) - 1
+    out = [0] * n
+    acc = f[n]
     for i in range(n - 1, -1, -1):
-        out[i] = acc
-        acc = acc * root + ints[i]
-    assert acc == 0
-    den = 1
-    for c in out:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [int(c * den) for c in out]
+        out[i] = acc // b
+        acc = f[i] + a * out[i]
+    return out
 
 
 def poly_mod_f(F, a, b):
@@ -656,12 +663,11 @@ class EigenvalueError(ValueError):
 
 
 def monomial_roots_fe(coeffs: list[FE]):
-    """Roots of a split polynomial over Q(x)(sqrt q), all of which are
-    required to be monomials c * sqrt(q)^d * x^k; raises otherwise."""
+    """Roots, with multiplicity, of a split polynomial over Q(x)(sqrt q),
+    all of which are required to be monomials c * sqrt(q)^d * x^k;
+    raises otherwise."""
     while coeffs and coeffs[-1].is_zero():
         coeffs = coeffs[:-1]
-    if len(coeffs) <= 1:
-        return []
     roots = []
     work = list(coeffs)
     while len(work) > 1:
@@ -800,18 +806,6 @@ def scalar_to_fraction(s) -> Fraction:
     if s.root != (0, 1) or s.opaques or s.qh or any(k != 0 for k in s.xpoly):
         raise ValueError("scalar is not rational: " + s.render())
     return s.xpoly.get(0, Q0)
-
-
-def fe_to_scalar(v: FE):
-    """Monomial FE back to a Scalar; None when not monomial."""
-    from .exact import Scalar
-    if v.is_zero():
-        return Scalar.zero()
-    parts = fe_monomial_parts(v)
-    if parts is None:
-        return None
-    c, par, k = parts
-    return Scalar.make(c, qexp2=par, xexp=k)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,11 @@ purity): it never looks at block data, only at the matrices.
 Matrices live over Q when possible (fast path) and over Q(x)(sqrt q)
 otherwise.  Eigenvalues of Phi must be monomials c * q^(h/2) * x^k;
 general characteristic-polynomial factorization is out of scope.
+
+Eigenvalues come from the characteristic polynomial of Phi (Hessenberg
+reduction, O(n^3)), whose roots are found with multiplicity and no
+square-free gcd: over Q by an integer-only rational-root search that
+deflates exactly in Z[X], over Q(x)(sqrt q) by a monomial root search.
 """
 
 from __future__ import annotations
@@ -20,8 +25,7 @@ from .linalg import (FE, FieldFE, FieldQ, EigenvalueError, charpoly, kernel,
                      mat_mul, mat_vec, mat_is_zero, mat_inverse,
                      monomial_roots_fe, rational_roots, row_space_basis,
                      subspace_dim, subspace_intersect, subspace_sum,
-                     identity, scalar_to_fe, fe_monomial_parts,
-                     poly_gcd_f, poly_quot_f)
+                     identity, scalar_to_fe, fe_monomial_parts)
 from .partitions import jordan_type_matrix
 from .session import get_q, q_pow
 from .wd import WDRep, SpehBlock, UNR
@@ -150,25 +154,29 @@ def realize(r: WDRep) -> MatrixWD:
 
 def _eigen_setup(m: MatrixWD):
     """(field, phi, n, eigendata) where eigendata maps a hashable key
-    (c, qh, xdeg) to (raw eigenvalue, eigenspace basis)."""
+    (c, qh, xdeg) to (raw eigenvalue, eigenspace basis).
+
+    Both root finders return the roots of the characteristic polynomial
+    with multiplicity: over Q they must number `size`, over Q(x)(sqrt q)
+    a root outside the monomial class raises.  The eigenspaces of the
+    distinct roots must have dimensions summing to `size`.
+    """
     F = m._field()
     phi = [list(r) for r in m.phi]
     nn = [list(r) for r in m.n]
     cp = charpoly(F, phi)
-    der = [F.mul(cp[i], F.from_int(i)) for i in range(1, len(cp))]
-    sqfree = poly_quot_f(F, cp, poly_gcd_f(F, cp, der))
     if m.field == "Q":
-        roots = rational_roots(list(sqfree))
-        if len(roots) != len(sqfree) - 1:
+        roots = rational_roots(cp)
+        if len(roots) < m.size:
             raise DomainError("semisimplification not supported: eigenvalue "
                               "outside the monomial class")
-        keyed = [((c, 0, 0), c) for c in roots]
+        keyed = [((c, 0, 0), c) for c in dict.fromkeys(roots)]
     else:
         try:
-            roots = monomial_roots_fe(list(sqfree))
+            roots = monomial_roots_fe(cp)
         except EigenvalueError as e:
             raise DomainError(f"semisimplification not supported: {e}") from e
-        keyed = [(fe_monomial_parts(lam), lam) for lam in roots]
+        keyed = {fe_monomial_parts(lam): lam for lam in roots}.items()
     spaces = {}
     total = 0
     for key, lam in keyed:
@@ -309,32 +317,10 @@ def dual_matrix(m: MatrixWD) -> MatrixWD:
 
 def twist_matrix(m: MatrixWD, i: int) -> MatrixWD:
     F = m._field()
-    s = F.from_int(1)
     qi = q_pow(-i)
     s = FE.const(qi) if m.field == "FE" else qi
     phi = [[F.mul(s, e) for e in row] for row in m.phi]
     return MatrixWD.make(phi, [list(r) for r in m.n])
-
-
-def direct_sum_matrix(m1: MatrixWD, m2: MatrixWD) -> MatrixWD:
-    use_fe = m1.field == "FE" or m2.field == "FE"
-    conv = (lambda rows: _to_fe(rows)) if use_fe else (lambda rows: rows)
-    zero = FE.const(0) if use_fe else Fraction(0)
-    a_phi, b_phi = conv([list(r) for r in m1.phi]), conv([list(r) for r in m2.phi])
-    a_n, b_n = conv([list(r) for r in m1.n]), conv([list(r) for r in m2.n])
-    n1, n2 = m1.size, m2.size
-    size = n1 + n2
-    phi = [[zero] * size for _ in range(size)]
-    nn = [[zero] * size for _ in range(size)]
-    for i in range(n1):
-        for j in range(n1):
-            phi[i][j] = a_phi[i][j]
-            nn[i][j] = a_n[i][j]
-    for i in range(n2):
-        for j in range(n2):
-            phi[n1 + i][n1 + j] = b_phi[i][j]
-            nn[n1 + i][n1 + j] = b_n[i][j]
-    return MatrixWD.make(phi, nn)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ per session (CLI flag --q, default 3).  Scalars fold integer powers of q
 into their rational coefficients, so all arithmetic depends on it.
 """
 
+import math
 from fractions import Fraction
 
 _DEFAULT_Q = 3
@@ -16,6 +17,16 @@ def set_q(q: int) -> None:
     if not isinstance(q, int) or q <= 1:
         raise ValueError(f"q must be an integer > 1, got {q!r}")
     _q = q
+
+
+def is_prime_power(n: int) -> bool:
+    """True for p^k with p prime and k >= 1 (a possible residue cardinality)."""
+    if n < 2:
+        return False
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def get_q() -> int:
@@ -30,5 +41,4 @@ def q_pow(e: int) -> Fraction:
 
 
 def q_is_square() -> bool:
-    r = int(_q ** 0.5)
-    return any(k * k == _q for k in (r - 1, r, r + 1))
+    return math.isqrt(_q) ** 2 == _q

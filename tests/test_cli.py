@@ -5,6 +5,8 @@ import io
 import json
 import pathlib
 
+import pytest
+
 from conftest import random_unramified_rep, random_mixed_rep, seeded
 from llct.cli import main
 from llct.dsl import parse_wd
@@ -52,6 +54,22 @@ def test_q_flag_changes_session():
     assert code == 0
     assert json.loads(out) == {"L_inverse": "1 - 1/5*T"}
     # default q = 3 restored by the session fixture for other tests
+
+
+@pytest.mark.parametrize("q", ["1", "6", "0", "-4", "abc"])
+def test_q_flag_rejects_non_prime_powers(q):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        run(["--q", q, "L", "Sp(unr(2),1)"])
+    assert exc.value.code == 2
+    assert "q must be a prime power" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_q_flag_accepts_prime_power():
+    code, out = run(["--q", "8", "L", "Sp(unr(1),2)"])
+    assert code == 0
+    assert json.loads(out) == {"L_inverse": "1 - 1/8*T"}
 
 
 def test_parse_render_roundtrip_on_random_reps():

@@ -1,0 +1,180 @@
+"""Characteristic polynomials and rational roots against independent checks."""
+
+import itertools
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_unramified_rep, seeded
+from llct.dsl import parse_wd
+from llct.exact import PolyT, Scalar, det_char
+from llct.linalg import (FE, FieldFE, FieldQ, charpoly, rational_roots,
+                         scalar_to_fe)
+from llct.oracle import realize
+
+
+# ---------------------------------------------------------------------------
+# charpoly
+# ---------------------------------------------------------------------------
+
+def _poly_mul(F, a, b):
+    out = [F.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return out
+
+
+def leibniz_charpoly(F, M):
+    """det(X*I - M) as a coefficient list, summed over all permutations."""
+    n = len(M)
+    total = [F.zero] * (n + 1)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = [F.one]
+        for i, j in enumerate(perm):
+            term = _poly_mul(F, term, [F.neg(M[i][j])] + ([F.one] if i == j else []))
+        for d, c in enumerate(term):
+            total[d] = F.sub(total[d], c) if inversions % 2 else F.add(total[d], c)
+    return total
+
+
+def assert_charpoly(F, M):
+    got, want = charpoly(F, M), leibniz_charpoly(F, M)
+    assert len(got) == len(want)
+    assert all(F.eq(g, w) for g, w in zip(got, want))
+
+
+def _conjugated(m, rng):
+    n = m.size
+    while True:
+        p = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        try:
+            return m.conjugate(p)
+        except ZeroDivisionError:
+            continue
+
+
+def test_charpoly_of_conjugated_realizations_over_q():
+    rng = seeded(211)
+    for _ in range(12):
+        m = _conjugated(realize(random_unramified_rep(rng, max_rank=5)), rng)
+        assert m.field == "Q"
+        assert_charpoly(FieldQ, [list(r) for r in m.phi])
+
+
+def test_charpoly_matches_det_char_reversed():
+    rng = seeded(223)
+    for _ in range(6):
+        m = _conjugated(realize(random_unramified_rep(rng, max_rank=5)), rng)
+        phi = [list(r) for r in m.phi]
+        cp = charpoly(FieldQ, phi)
+        n = len(phi)
+        entries = [[Scalar.from_rational(e) for e in row] for row in phi]
+        # det(1 - M*T) = T^n det(T^-1 - M): the coefficients reversed
+        assert det_char(entries) == PolyT({n - d: c for d, c in enumerate(cp)})
+
+
+def test_charpoly_of_conjugated_realizations_over_fe():
+    rng = seeded(227)
+    for expr in ("Sp(unr(x),2)+Sp(unr(5/7*q^(1/2)),1)",
+                 "Sp(unr(x^-1*q^(1/2)),3)",
+                 "Sp(unr(x),1)+Sp(unr(q^(1/2)),1)+Sp(unr(2),1)"):
+        m = _conjugated(realize(parse_wd(expr)), rng)
+        assert m.field == "FE"
+        assert_charpoly(FieldFE, [list(r) for r in m.phi])
+
+
+def test_charpoly_pivot_swap_and_zero_subdiagonal():
+    q = Fraction
+    swap = [[q(1), q(2), q(3)], [q(0), q(4), q(5)], [q(6), q(7), q(8)]]
+    zero_column = [[q(1), q(2), q(0)], [q(0), q(3), q(0)], [q(0), q(0), q(5)]]
+    split = [[q(1), q(2), q(3), q(4)], [q(5), q(6), q(7), q(8)],
+             [q(0), q(0), q(9), q(1)], [q(0), q(0), q(2), q(3)]]
+    late_swap = [[q(2), q(1), q(0), q(0)], [q(1), q(0), q(0), q(0)],
+                 [q(0), q(0), q(1), q(1)], [q(0), q(3), q(1), q(0)]]
+    for M in (swap, zero_column, split, late_swap, [[q(7)]], []):
+        assert_charpoly(FieldQ, M)
+    x = scalar_to_fe(Scalar.x_power(1))
+    sq = scalar_to_fe(Scalar.make(1, qexp2=1))
+    for M in (swap, split, late_swap):
+        fe = [[FE.const(e) for e in row] for row in M]
+        fe[0][1] = x
+        fe[-1][-1] = fe[-1][-1] + sq
+        assert_charpoly(FieldFE, fe)
+
+
+# ---------------------------------------------------------------------------
+# rational_roots
+# ---------------------------------------------------------------------------
+
+def _expand(roots, scale=Fraction(1), extra=(1,)):
+    """scale * extra(X) * prod (X - r), coefficients low degree first."""
+    out = [Fraction(c) * scale for c in extra]
+    for r in roots:
+        out = [(out[i - 1] if i else 0) - r * (out[i] if i < len(out) else 0)
+               for i in range(len(out) + 1)]
+    return out
+
+
+def brute_force_roots(coeffs):
+    """Every p/b with |p| <= |c_low| and 1 <= b <= |lead| of the primitive
+    integer polynomial, with multiplicity by repeated synthetic division."""
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    f = [int(Fraction(c) * den) for c in coeffs]
+    g = math.gcd(*f) or 1
+    f = [Fraction(c // g) for c in f]
+    while f and f[-1] == 0:
+        f.pop()
+    roots = []
+    while len(f) > 1 and f[0] == 0:
+        roots.append(Fraction(0))
+        f = f[1:]
+    if len(f) <= 1:
+        return roots
+    low, lead = abs(int(f[0])), abs(int(f[-1]))
+    for b in range(1, lead + 1):
+        for p in range(-low, low + 1):
+            r = Fraction(p, b)
+            if r == 0 or r.denominator != b:
+                continue
+            while len(f) > 1:
+                quo, acc = [], Fraction(0)
+                for c in reversed(f):
+                    acc = acc * r + c
+                    quo.append(acc)
+                if acc != 0:
+                    break
+                roots.append(r)
+                f = list(reversed(quo[:-1]))
+    return roots
+
+
+def test_rational_roots_examples_against_brute_force():
+    cases = [
+        _expand([2, 2, 2, Fraction(-1, 3), Fraction(-1, 3), 0, 0]),  # repeated, zero, negative
+        _expand([Fraction(1, 2), Fraction(1, 3)], scale=Fraction(42)),  # non-monic
+        _expand([Fraction(5, 3)], extra=(-2, 0, 1)),        # (X^2 - 2)(X - 5/3)
+        [10, -6, -5, 3],                                     # (X^2 - 2)(3X - 5)
+        _expand([-4, Fraction(7, 2)], extra=(1, 0, 1)),      # times X^2 + 1
+        _expand([Fraction(-2, 5)] * 4, scale=Fraction(-3, 7)),
+        [1, 0, 1],                                           # X^2 + 1
+        [0, 0, 0, 5],                                        # 5 X^3
+        [7], [0], [],
+    ]
+    for coeffs in cases:
+        assert sorted(rational_roots(coeffs)) == sorted(brute_force_roots(coeffs))
+
+
+rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(rationals, max_size=7),
+       st.builds(Fraction, st.integers(1, 30).map(lambda v: v * (-1) ** v),
+                 st.integers(1, 30)),
+       st.sampled_from([(1,), (2, 0, 1), (-3, 0, 1), (1, 1, 1), (-5, 0, 0, 2)]))
+def test_rational_roots_recovers_random_rational_roots(roots, scale, extra):
+    coeffs = _expand(roots, scale, extra)
+    assert sorted(rational_roots(coeffs)) == sorted(roots)

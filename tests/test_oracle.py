@@ -1,10 +1,12 @@
 """Matrix oracle: realization, classification, filtration, rank profiles."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_unramified_rep, seeded
+from llct.dsl import parse_wd
 from llct.exact import DomainError, Scalar
 from llct.oracle import (MatrixWD, classify, dual_matrix, generic_rank_profile,
                          monodromy_filtration, realize, tensor_matrix,
@@ -106,6 +108,33 @@ def test_classify_with_x_and_halfpowers():
     x = Scalar.x_power(1)
     r = WDRep([sp(x, 2), sp(Scalar.make(2, qexp2=1), 1)])
     assert classify(realize(r)) == r
+
+
+# Shapes that took a minute or more while the eigen pipeline went through a
+# square-free gcd and Fraction root candidates: long Speh blocks carry q^120
+# in the characteristic polynomial, and mixed x / q^(1/2) / rational
+# eigenvalues blew up the rational-function gcd.
+@pytest.mark.parametrize("expr", [
+    "Sp(unr(10/7),16)",
+    "Sp(unr(2),8)+Sp(unr(5/7),8)+Sp(unr(11),8)",
+    "Sp(unr(x),3)+Sp(unr(5/7*q^(1/2)),2)",
+    "Sp(unr(x),1)+Sp(unr(q^(1/2)),1)+Sp(unr(2),2)",
+])
+def test_former_cliff_shapes_round_trip_within_budget(expr):
+    r = parse_wd(expr)
+    t0 = time.time()
+    assert classify(realize(r)) == r
+    elapsed = time.time() - t0
+    assert elapsed < 5.0, f"too slow: {elapsed:.1f}s"
+
+
+def test_long_block_tensor_within_budget():
+    t0 = time.time()
+    got = classify(tensor_matrix(realize(WDRep([sp(2, 1)])),
+                                 realize(WDRep([sp(Fraction(5, 7), 16)]))))
+    elapsed = time.time() - t0
+    assert got == WDRep([sp(Fraction(10, 7), 16)])  # Sp(a,1) x Sp(b,n) = Sp(ab,n)
+    assert elapsed < 5.0, f"too slow: {elapsed:.1f}s"
 
 
 def test_classify_rejects_non_monomial_eigenvalues():
