@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Scalar
-from .wd import WDRep, WDFamily, SpehBlock, InertialAtom, UNR, UNRAMIFIED_LABEL
+from .wd import WDRep, SpehBlock, InertialAtom, UNR, UNRAMIFIED_LABEL
 
 
 class ParseError(ValueError):
@@ -355,10 +355,6 @@ def parse_wd(src: str) -> WDRep:
     return r
 
 
-def parse_family(src: str, bad_points=()) -> WDFamily:
-    return WDFamily(rep=parse_wd(src), bad_points=tuple(bad_points))
-
-
 def parse_scalar(src: str) -> Scalar:
     p = Parser(src)
     s = p.parse_signed_scalar()
@@ -371,7 +367,3 @@ def parse_matrix(src: str) -> list[list[Scalar]]:
     m = p.parse_matrix()
     p.finish()
     return m
-
-
-def render_wd(r: WDRep) -> str:
-    return r.render()

@@ -279,9 +279,6 @@ class Scalar:
         if self.is_zero():
             return "0"
         parts = []
-        xp = _render_xpoly(self.xpoly)
-        if xp != "1":
-            parts.append(xp)
         a, n = self.root
         if n != 1:
             parts.append(f"zeta({a},{n})")
@@ -289,9 +286,14 @@ class Scalar:
             parts.append(sym if e == 1 else f"{sym}^{e}")
         if self.qh:
             parts.append("q^(1/2)")
+        xp = _render_xpoly(self.xpoly)
         if not parts:
-            return "1"
-        return "*".join(parts)
+            return xp
+        if xp == "1":
+            return "*".join(parts)
+        if xp == "-1":
+            return "-" + "*".join(parts)
+        return "*".join([xp] + parts)
 
     def __repr__(self):
         return f"Scalar({self.render()})"
@@ -387,25 +389,45 @@ class Coef:
                 return Coef()
             return Coef({k: v * c for k, v in self.terms.items()})
         out: dict[UnitKey, Fraction] = {}
+        q1 = None  # q, fetched only when two q^(1/2) meet
         for (r1, o1, h1, x1), c1 in self.terms.items():
             for (r2, o2, h2, x2), c2 in other.terms.items():
-                root, sign = _mul_roots(r1, r2)
-                h = h1 + h2
-                c = c1 * c2 * sign
-                if h >= 2:
-                    h -= 2
-                    c *= q_pow(1)
-                k = (root, _mul_opaques(o1, o2), h, x1 + x2)
-                v = out.get(k, Q0) + c
-                if v == 0:
-                    out.pop(k, None)
+                c = c1 * c2
+                # keys hold canonical roots, so a trivial factor leaves
+                # the other root and the sign unchanged
+                if r2 == TRIVIAL_ROOT:
+                    root = r1
+                elif r1 == TRIVIAL_ROOT:
+                    root = r2
                 else:
-                    out[k] = v
+                    root, sign = _mul_roots(r1, r2)
+                    if sign < 0:
+                        c = -c
+                h = h1 + h2
+                if h >= 2:
+                    if q1 is None:
+                        q1 = q_pow(1)
+                    h -= 2
+                    c *= q1
+                o = _mul_opaques(o1, o2) if o1 and o2 else o1 or o2
+                k = (root, o, h, x1 + x2)
+                v = out.get(k)
+                if v is None:
+                    out[k] = c
+                else:
+                    v += c
+                    if v:
+                        out[k] = v
+                    else:
+                        del out[k]
         return Coef(out)
 
     __rmul__ = __mul__
 
     def mul_scalar(self, s: Scalar):
+        if s.is_rational():
+            c = s.xpoly.get(0, Q0)
+            return Coef({k: v * c for k, v in self.terms.items()} if c else {})
         return self * Coef.from_scalar(s)
 
     def has_opaque(self):

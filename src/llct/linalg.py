@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .primes import factorize
 from .session import get_q, q_pow, q_is_square
 
 Q0 = Fraction(0)
@@ -509,29 +510,10 @@ def coords_in_basis(F, basis, v):
 # Root finding
 # ---------------------------------------------------------------------------
 
-def _factorize(n: int) -> dict[int, int]:
-    """Trial-division factorization; a cofactor surviving the bound is kept
-    as one (possibly composite) factor -- fine for smooth inputs."""
-    fs: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            fs[p] = fs.get(p, 0) + 1
-            n //= p
-    d = 17
-    while d * d <= n and d < 100_000:
-        while n % d == 0:
-            fs[d] = fs.get(d, 0) + 1
-            n //= d
-        d += 2
-    if n > 1:
-        fs[n] = fs.get(n, 0) + 1
-    return fs
-
-
 def _int_divisors(n: int):
     """Sorted positive divisors of n != 0."""
     divs = [1]
-    for p, e in _factorize(abs(n)).items():
+    for p, e in factorize(abs(n)).items():
         divs = [d * p ** k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
@@ -799,13 +781,6 @@ def scalar_to_fe(s) -> FE:
     if s.qh:
         return FE(RatX.const(0), rx)
     return FE(rx)
-
-
-def scalar_to_fraction(s) -> Fraction:
-    """Plain rational Scalar to a Fraction."""
-    if s.root != (0, 1) or s.opaques or s.qh or any(k != 0 for k in s.xpoly):
-        raise ValueError("scalar is not rational: " + s.render())
-    return s.xpoly.get(0, Q0)
 
 
 # ---------------------------------------------------------------------------

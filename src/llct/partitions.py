@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import FieldQ, FieldFE, mat_mul, rank
+from .linalg import FieldQ, mat_mul, rank
 
 
 @dataclass(frozen=True)
@@ -114,22 +114,6 @@ def enumerate_partitions(m: int) -> list[Partition]:
                 yield (first,) + tail
 
     return sorted((Partition(p) for p in gen(m, m)), key=lambda p: p.parts)
-
-
-def jordan_type(N) -> Partition:
-    """Jordan type of a nilpotent matrix of plain Scalars.
-
-    Ranks are taken over Q when the entries are rational and over the
-    rational-function field Q(x)(sqrt q) when x or q^(1/2) appear, so the
-    generic-point semantics of families comes for free.
-    """
-    from .linalg import scalar_to_fe, scalar_to_fraction
-    try:
-        rows = [[scalar_to_fraction(e) for e in row] for row in N]
-        return jordan_type_matrix(rows, FieldQ)
-    except ValueError:
-        rows = [[scalar_to_fe(e) for e in row] for row in N]
-        return jordan_type_matrix(rows, FieldFE)
 
 
 def jordan_type_matrix(N, field=None) -> Partition:

@@ -165,12 +165,6 @@ def twist(r: WDRep, i: int) -> WDRep:
     return WDRep([SpehBlock(b.atom, b.alpha * sc, b.m) for b in r.blocks])
 
 
-def twist_half(r: WDRep, qexp2: int) -> WDRep:
-    """Twist by the unramified character with value q^(qexp2/2)."""
-    sc = Scalar.qpow(qexp2)
-    return WDRep([SpehBlock(b.atom, b.alpha * sc, b.m) for b in r.blocks])
-
-
 def _dual_atom(atom: InertialAtom, pool: dict[str, InertialAtom]) -> InertialAtom:
     if atom.dual_label == atom.label:
         return atom

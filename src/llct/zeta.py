@@ -18,6 +18,17 @@ Sum shifts are indexed by m in (1 - n1*n2)/2 + Z as in the defining
 integrals; the matching inverse L-factor is the tensor one with
 T -> q^{-(m + (n1+n2)/2 - 1)} T, the chi_T-twist at which the rational
 tensor factor sits for the honest integral.
+
+Schur values come from the Jacobi-Trudi determinant det(h_{lam_i - i + j})
+(Macdonald, Symmetric Functions and Hall Polynomials, I.3) over the table
+of complete homogeneous polynomials h_k, expanded along the first row.  A
+minor of the lower rows depends only on the suffix of lam on those rows
+and on its column set, so the GLn x GLn sum keeps one table of minors per
+homogeneous table and shares it across every lam of the call; the
+coefficient of T^j is summed over |lam| = j before its q-power is applied.
+The tables are dropped when the call returns.  No cache outlives a call
+because Scalar normal forms fold integer powers of q into the rationals,
+and q is a session global that can change between calls.
 """
 
 from __future__ import annotations
@@ -94,44 +105,58 @@ def homogeneous_table(params, maxdeg: int) -> list[Coef]:
     return h
 
 
-def schur_from_table(h: list[Coef], lam, n: int) -> Coef:
-    """Jacobi-Trudi determinant det(h_{lam_i - i + j})_{1<=i,j<=n}."""
-    lam = tuple(lam) + (0,) * (n - len(lam))
+def schur_from_table(h: list[Coef], lam, n: int, minors=None) -> Coef:
+    """Jacobi-Trudi determinant det(h_{lam_i - i + j})_{1<=i,j<=n}.
 
-    def hh(k):
-        if k < 0:
-            return Coef.zero()
-        if k >= len(h):
-            raise IndexError("homogeneous table too short")
-        return h[k]
+    Laplace expansion along the first row, recursing on the minors of the
+    lower rows.  A proper minor is fixed by the suffix of lam on its rows
+    and its column set, so several lam can share it: pass the same dict as
+    `minors` to every call on one table h and one n to reuse them.
+    """
+    lam = (tuple(lam) + (0,) * n)[:n]
+    if n == 0:
+        return Coef.one()
+    return _jt_minor(h, lam, 0, (1 << n) - 1, {} if minors is None else minors)
 
-    import itertools
+
+def _jt_minor(h, lam, k, cols, minors) -> Coef:
+    """Determinant of rows k..n-1 of the Jacobi-Trudi matrix of lam on the
+    columns in the bitmask cols.  Minors of two or more rows below the top
+    row are memoised in `minors` under (lam[k:], cols); the full n x n
+    determinant is used once and not stored."""
+    n = len(lam)
+    base = lam[k] - k
+    if k == n - 1:
+        return _h_entry(h, base + cols.bit_length() - 1)
+    if k:
+        key = (lam[k:], cols)
+        got = minors.get(key)
+        if got is not None:
+            return got
     out = Coef.zero()
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        term = Coef.one()
-        for i in range(n):
-            term = term * hh(lam[i] - (i + 1) + (perm[i] + 1))
-            if term.is_zero():
-                break
-        out = out + (term if sign > 0 else -term)
+    pos = 0
+    for c in range(n):
+        bit = 1 << c
+        if not cols & bit:
+            continue
+        entry = _h_entry(h, base + c)
+        if not entry.is_zero():
+            sub = _jt_minor(h, lam, k + 1, cols ^ bit, minors)
+            if not sub.is_zero():
+                term = entry * sub
+                out = out + term if pos % 2 == 0 else out - term
+        pos += 1
+    if k:
+        minors[key] = out
     return out
 
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _h_entry(h, k) -> Coef:
+    if k < 0:
+        return Coef.zero()
+    if k >= len(h):
+        raise IndexError("homogeneous table too short")
+    return h[k]
 
 
 def whittaker_value(d: SatakeData, lam) -> Coef:
@@ -225,11 +250,11 @@ def zeta_gl_n_gl1(d: SatakeData, m, bound: int, strict: bool = False) -> ZetaRes
     coeffs = {}
     for j in range(0, bound + 1):
         lam = (j,) + (0,) * (n - 1)
-        w = h[j].mul_scalar(Scalar.qpow(_delta_half_qexp2(lam, n)))
         factor_qexp2 = -j * (2 * m + 1 - n)
         if Fraction(factor_qexp2).denominator != 1:
             raise ValueError("shift off the half-integer lattice")
-        c = w.mul_scalar(Scalar.qpow(int(factor_qexp2)))
+        qexp2 = _delta_half_qexp2(lam, n) + int(factor_qexp2)
+        c = h[j].mul_scalar(Scalar.qpow(qexp2))
         if not c.is_zero():
             coeffs[j] = c
     series = TruncSeriesT(0, bound, coeffs)
@@ -252,26 +277,24 @@ def zeta_gl_n_gl_n(d1: SatakeData, d2: SatakeData, m, bound: int,
     t1, t2 = d1.unitary_twisted(), d2.unitary_twisted()
     h1 = homogeneous_table(t1.params, bound + n)
     h2 = homogeneous_table(t2.params, bound + n)
-    coeffs: dict[int, Coef] = {}
+    minors1, minors2 = {}, {}
+    sums: dict[int, Coef] = {}
     for lam in _dominant_nonneg(n, bound):
-        j = sum(lam)
-        s1 = schur_from_table(h1, lam, n)
+        s1 = schur_from_table(h1, lam, n, minors1)
         if s1.is_zero():
             continue
-        s2 = schur_from_table(h2, lam, n)
+        s2 = schur_from_table(h2, lam, n, minors2)
         if s2.is_zero():
             continue
         # W1 * W2 * delta^{-1} = s_lam(t1) * s_lam(t2): half-densities cancel
-        term = s1 * s2
+        j = sum(lam)
+        sums[j] = sums.get(j, Coef.zero()) + s1 * s2
+    coeffs: dict[int, Coef] = {}
+    for j, acc in sums.items():
         factor_qexp2 = -j * 2 * m
         if Fraction(factor_qexp2).denominator != 1:
             raise ValueError("shift off the half-integer lattice")
-        term = term.mul_scalar(Scalar.qpow(int(factor_qexp2)))
-        acc = coeffs.get(j, Coef.zero()) + term
-        if acc.is_zero():
-            coeffs.pop(j, None)
-        else:
-            coeffs[j] = acc
+        coeffs[j] = acc.mul_scalar(Scalar.qpow(int(factor_qexp2)))
     series = TruncSeriesT(0, bound, coeffs)
     shift2 = int(2 * m + 2 * n - 2)
     l_inv = l_inverse(tensor(d1.rep(), d2.rep())).shift(-shift2)

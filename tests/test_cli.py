@@ -80,3 +80,9 @@ def test_parse_render_roundtrip_on_random_reps():
     for _ in range(60):
         r = random_mixed_rep(rng)
         assert parse_wd(r.render()) == r
+
+
+def test_gamma_renders_negative_unit_coefficient():
+    code, out = run(["gamma", "Sp(unr(q^(1/2)),1)"])
+    assert code == 0
+    assert json.loads(out)["gamma"] == "(1 - q^(1/2)*T) / (1 - 1/9*q^(1/2)*T)"

@@ -90,3 +90,10 @@ blocks = st.builds(lambda atom, a, m: SpehBlock(atom, a, m),
 def test_parse_render_roundtrip(block_list):
     r = WDRep(block_list)
     assert parse_wd(r.render()) == r
+
+
+def test_negative_unit_alpha_roundtrip():
+    for text in ["Sp(unr(-q^(1/2)),1)", "Sp(unr(-zeta(1,3)),2)"]:
+        r = parse_wd(text)
+        assert r.render() == text
+        assert parse_wd(r.render()) == r

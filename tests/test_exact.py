@@ -238,3 +238,53 @@ def test_geometric_series_times_inverse_is_one():
     prod = s.mul_poly(PolyT.from_roots([rat(alpha)]))
     assert prod.coeff(0).is_one()
     assert all(prod.coeff(i).is_zero() for i in range(1, prod.bound + 1))
+
+
+# ---------------------------------------------------------------------------
+# Coef products against term-by-term Scalar products
+# ---------------------------------------------------------------------------
+
+@st.composite
+def unit_scalars(draw):
+    """Monomial scalars mixing roots of unity, opaque symbols and q^(1/2)."""
+    c = draw(small_fracs.filter(lambda v: v != 0))
+    root = draw(st.sampled_from([(0, 1), (0, 1), (1, 3), (1, 4), (2, 5), (1, 6)]))
+    syms = draw(st.dictionaries(st.sampled_from(["eps_a", "eps_b"]),
+                                st.integers(-2, 2).filter(bool), max_size=2))
+    return Scalar.make(c, qexp2=draw(st.integers(-3, 3)),
+                       xexp=draw(st.integers(-1, 1)), root=root,
+                       opaques=tuple(syms.items()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(unit_scalars(), max_size=4), st.lists(unit_scalars(), max_size=4))
+def test_coef_product_is_sum_of_scalar_products(xs, ys):
+    a = Coef.zero()
+    for s in xs:
+        a = a + Coef.from_scalar(s)
+    b = Coef.zero()
+    for t in ys:
+        b = b + Coef.from_scalar(t)
+    want = Coef.zero()
+    for s in xs:
+        for t in ys:
+            want = want + Coef.from_scalar(s * t)
+    assert a * b == want
+    assert b * a == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefs(), small_fracs, st.integers(-4, 4))
+def test_mul_scalar_by_rational_matches_coef_product(a, c, qe):
+    s = Scalar.make(c, qexp2=2 * qe)
+    assert s.is_rational()
+    assert a.mul_scalar(s) == a * Coef.from_scalar(s)
+
+
+def test_negative_unit_renders_without_one():
+    assert Scalar.make(-1, qexp2=1).render() == "-q^(1/2)"
+    assert Scalar.root_of_unity(2, 3).render() == "-zeta(1,6)"
+    assert Scalar.make(-1, root=(1, 3)).render() == "-zeta(1,3)"
+    assert Scalar.opaque("eps_a", -1).render() == "eps_a^-1"
+    assert Scalar.make(-2, qexp2=1).render() == "-2*q^(1/2)"
+    assert rat(-1).render() == "-1"

@@ -178,3 +178,31 @@ rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
 def test_rational_roots_recovers_random_rational_roots(roots, scale, extra):
     coeffs = _expand(roots, scale, extra)
     assert sorted(rational_roots(coeffs)) == sorted(roots)
+
+
+# ---------------------------------------------------------------------------
+# integer factorization behind the rational-root candidates
+# ---------------------------------------------------------------------------
+
+def test_divisors_split_cofactors_above_trial_bound():
+    from llct.linalg import _int_divisors
+    from llct.primes import factorize as _factorize
+    p, q = 100003, 100019
+    assert _int_divisors(p * q) == [1, p, q, p * q]
+    assert _factorize(p ** 3) == {p: 3}
+    assert _factorize(2 ** 5 * 17 * p * q) == {2: 5, 17: 1, p: 1, q: 1}
+    assert _factorize(1000000007 * 1000000009) == {1000000007: 1, 1000000009: 1}
+    assert _factorize(2 ** 89 - 1) == {2 ** 89 - 1: 1}
+    for n in range(2, 3000):
+        fs = _factorize(n)
+        assert math.prod(f ** e for f, e in fs.items()) == n
+        assert all(all(f % d for d in range(2, math.isqrt(f) + 1)) for f in fs)
+
+
+def test_rational_roots_with_two_large_primes():
+    p, q = 100003, 100019
+    # (X - p)(X - q)(3X + p*q)
+    f = [Fraction(p * q * p * q), Fraction(-(p + q) * p * q + 3 * p * q),
+         Fraction(p * q - 3 * (p + q)), Fraction(3)]
+    assert sorted(rational_roots(f)) == sorted(
+        [Fraction(p), Fraction(q), Fraction(-p * q, 3)])

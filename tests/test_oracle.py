@@ -164,3 +164,10 @@ def test_generic_rank_profile_examples():
     assert spec3[Fraction(0)] == Partition.of(2, 1)
     assert spec3[Fraction(1)] == Partition.of(2, 1)
     assert spec3[Fraction(2)] == Partition.of(3)
+
+
+@pytest.mark.parametrize("text", ["Sp(unr(100003),2)",
+                                  "Sp(unr(100003),1)+Sp(unr(100019),1)"])
+def test_classify_eigenvalues_with_large_prime_factors(text):
+    r = parse_wd(text)
+    assert classify(realize(r)) == r

@@ -5,6 +5,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import seeded
 from llct.exact import Coef, Scalar
@@ -285,3 +286,64 @@ def test_family_mode_half_powers_cancel_in_product():
     assert any(any(k[2] for k in res.series.coeff(j).terms)
                for j in range(1, 4))
     assert res.product_is_one()
+
+
+# ---------------------------------------------------------------------------
+# Jacobi-Trudi with shared minors
+# ---------------------------------------------------------------------------
+
+def test_schur_n4_against_ssyt_bruteforce():
+    x = Scalar.x_power(1)
+    for params in [(rat(2), rat(3), rat(5), rat(Fraction(1, 7))),
+                   (rat(2), rat(2), rat(3), rat(2)),
+                   (x * Scalar.qpow(1), rat(3), rat(-1), x)]:
+        h = homogeneous_table(params, 9)
+        minors = {}
+        for lam in [(1,), (2, 1), (1, 1, 1, 1), (2, 2, 1), (3, 1, 1),
+                    (2, 2, 2, 1), (3, 2, 1), (4,), (2, 1, 1, 1), (3, 3)]:
+            want = ssyt_schur(params, lam)
+            assert schur_from_table(h, lam, 4) == want, (params, lam)
+            assert schur_from_table(h, lam, 4, minors) == want, (params, lam)
+
+
+def test_schur_table_too_short():
+    h = homogeneous_table((rat(2), rat(3)), 3)
+    with pytest.raises(IndexError):
+        schur_from_table(h, (3, 1), 2)
+
+
+satake_values = st.builds(
+    lambda c, e: Scalar.make(c, qexp2=e),
+    st.sampled_from([2, 5, 7, Fraction(1, 2), Fraction(1, 5), -3, Fraction(-2, 7)]),
+    st.integers(-2, 2))
+
+
+@st.composite
+def cauchy_cases(draw):
+    n = draw(st.sampled_from([2, 3]))
+    d1 = SatakeData(tuple(draw(satake_values) for _ in range(n)))
+    d2 = SatakeData(tuple(draw(satake_values) for _ in range(n)))
+    m = Fraction(draw(st.integers(-6, 4)), 2)
+    bound = draw(st.integers(1, 10 if n == 2 else 6))
+    return d1, d2, m, bound
+
+
+@settings(max_examples=25, deadline=None)
+@given(cauchy_cases())
+def test_gl_n_gl_n_series_is_cauchy_product(case):
+    # sum_lam s_lam(a) s_lam(b) u^|lam| = prod_{i,j} (1 - a_i b_j u)^{-1},
+    # u = q^{-m} T, expanded here by geometric series alone
+    d1, d2, m, bound = case
+    res = zeta_gl_n_gl_n(d1, d2, m, bound)
+    qm = Scalar.qpow(int(-2 * m))
+    want = [Coef.one()] + [Coef.zero()] * bound
+    for a in d1.unitary_twisted().params:
+        for b in d2.unitary_twisted().params:
+            c = a * b * qm
+            powers = [Coef.one()]
+            for _ in range(bound):
+                powers.append(powers[-1].mul_scalar(c))
+            want = [sum((want[d - k] * powers[k] for k in range(d + 1)),
+                        Coef.zero())
+                    for d in range(bound + 1)]
+    assert [res.series.coeff(d) for d in range(bound + 1)] == want
