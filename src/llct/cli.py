@@ -47,10 +47,11 @@ def _parse_half(text: str) -> Fraction:
 
 def _parse_q(text: str) -> int:
     q = int(text) if text.isdigit() else 0
-    # the bound keeps the trial division in is_prime_power under 2**16 steps
-    if not (q < 2 ** 32 and session.is_prime_power(q)):
+    try:
+        session.set_q(q)
+    except ValueError:
         raise argparse.ArgumentTypeError(
-            f"q must be a prime power below 2**32, got {text!r}")
+            f"q must be a prime power below 2**32, got {text!r}") from None
     return q
 
 

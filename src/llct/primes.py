@@ -10,8 +10,13 @@ from __future__ import annotations
 import math
 
 
+# Rho finds a factor p after about sqrt(p) steps, while trial division
+# pays one step per odd number below p, so trial division stops early.
+_TRIAL_BOUND = 1 << 10
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1: trial division below 10^5, then
+    """Prime factorization of n >= 1: trial division below 2^10, then
     Miller-Rabin and Pollard rho on the cofactor.  A composite that rho
     does not split within its step budget is kept as one factor; its
     prime factors are then missing from the divisors, so a caller testing
@@ -22,7 +27,7 @@ def factorize(n: int) -> dict[int, int]:
             fs[p] = fs.get(p, 0) + 1
             n //= p
     d = 17
-    while d * d <= n and d < 100_000:
+    while d * d <= n and d < _TRIAL_BOUND:
         while n % d == 0:
             fs[d] = fs.get(d, 0) + 1
             n //= d

@@ -13,9 +13,11 @@ _q = _DEFAULT_Q
 
 
 def set_q(q: int) -> None:
+    """Fix q for the session; it must be a prime power below 2**32."""
     global _q
-    if not isinstance(q, int) or q <= 1:
-        raise ValueError(f"q must be an integer > 1, got {q!r}")
+    # the bound keeps the trial division in is_prime_power under 2**16 steps
+    if not (isinstance(q, int) and q < 2 ** 32 and is_prime_power(q)):
+        raise ValueError(f"q must be a prime power below 2**32, got {q!r}")
     _q = q
 
 

@@ -19,16 +19,28 @@ integrals; the matching inverse L-factor is the tensor one with
 T -> q^{-(m + (n1+n2)/2 - 1)} T, the chi_T-twist at which the rational
 tensor factor sits for the honest integral.
 
+Three classical identities (Macdonald, Symmetric Functions and Hall
+Polynomials, I.2-I.3) keep the exact arithmetic small:
+
+- h_k, the complete homogeneous polynomials, are the coefficients of
+  prod_i 1/(1 - p_i T), built one geometric factor at a time.
+- s_lam is homogeneous of degree |lam|, and the q-power of the coefficient
+  of T^j is q^{-jm} in both integrals, so q^{-m} is folded into the
+  parameters (all of them for GLn x GL1, those of the first datum for
+  GLn x GLn) before any table is built; no degree is rescaled afterwards.
+- s_{lam + (1^n)} = e_n * s_lam, so the GLn x GLn sum runs only over the
+  dominant lam with lam_n = 0, and the central shifts are added degree by
+  degree with the factor e_n(t1) e_n(t2), the product of all 2n
+  parameters.
+
 Schur values come from the Jacobi-Trudi determinant det(h_{lam_i - i + j})
-(Macdonald, Symmetric Functions and Hall Polynomials, I.3) over the table
-of complete homogeneous polynomials h_k, expanded along the first row.  A
-minor of the lower rows depends only on the suffix of lam on those rows
-and on its column set, so the GLn x GLn sum keeps one table of minors per
-homogeneous table and shares it across every lam of the call; the
-coefficient of T^j is summed over |lam| = j before its q-power is applied.
-The tables are dropped when the call returns.  No cache outlives a call
-because Scalar normal forms fold integer powers of q into the rationals,
-and q is a session global that can change between calls.
+over the table of h_k, expanded along the first row.  A minor of the lower
+rows depends only on the suffix of lam on those rows and on its column
+set, so the GLn x GLn sum keeps one table of minors per homogeneous table
+and shares it across every lam of the call.  The tables are dropped when
+the call returns.  No cache outlives a call because Scalar normal forms
+fold integer powers of q into the rationals, and q is a session global
+that can change between calls.
 """
 
 from __future__ import annotations
@@ -83,25 +95,12 @@ def _delta_half_qexp2(lam, n) -> int:
 
 def homogeneous_table(params, maxdeg: int) -> list[Coef]:
     """h_0..h_maxdeg of the complete homogeneous symmetric polynomials,
-    via the Newton-style recurrence against the elementary ones."""
-    n = len(params)
-    e = [Coef.one()]
-    prev = [Coef.one()]
+    the coefficients of prod_i 1/(1 - p_i T), multiplied in one geometric
+    factor at a time."""
+    h = [Coef.one()] + [Coef.zero()] * maxdeg
     for p in params:
-        cur = [Coef.one()]
-        pc = Coef.from_scalar(p)
-        for i in range(1, len(prev) + 1):
-            t = prev[i] if i < len(prev) else Coef.zero()
-            cur.append(t + prev[i - 1] * pc)
-        prev = cur
-    e = prev  # e[i] = elementary symmetric i
-    h = [Coef.one()]
-    for j in range(1, maxdeg + 1):
-        acc = Coef.zero()
-        for i in range(1, min(j, n) + 1):
-            term = e[i] * h[j - i]
-            acc = acc + (term if i % 2 == 1 else -term)
-        h.append(acc)
+        for j in range(1, maxdeg + 1):
+            h[j] = h[j] + h[j - 1].mul_scalar(p)
     return h
 
 
@@ -245,19 +244,11 @@ def zeta_gl_n_gl1(d: SatakeData, m, bound: int, strict: bool = False) -> ZetaRes
     if bound < 1:
         raise ValueError("bound must be >= 1")
     n = d.n
-    dt = d.unitary_twisted()
-    h = homogeneous_table(dt.params, bound + n)
-    coeffs = {}
-    for j in range(0, bound + 1):
-        lam = (j,) + (0,) * (n - 1)
-        factor_qexp2 = -j * (2 * m + 1 - n)
-        if Fraction(factor_qexp2).denominator != 1:
-            raise ValueError("shift off the half-integer lattice")
-        qexp2 = _delta_half_qexp2(lam, n) + int(factor_qexp2)
-        c = h[j].mul_scalar(Scalar.qpow(qexp2))
-        if not c.is_zero():
-            coeffs[j] = c
-    series = TruncSeriesT(0, bound, coeffs)
+    # delta^{1/2} at (j, 0, ..., 0) times the shift is q^{-jm}, and h_j is
+    # homogeneous of degree j, so q^{-m} goes into the parameters
+    qm = Scalar.qpow(-int(2 * m))
+    h = homogeneous_table([p * qm for p in d.unitary_twisted().params], bound)
+    series = TruncSeriesT(0, bound, dict(enumerate(h)))
     shift2 = int(2 * m + n - 1)
     l_inv = l_inverse(d.rep()).shift(-shift2)
     return _finish(series, l_inv.poly, strict)
@@ -274,12 +265,16 @@ def zeta_gl_n_gl_n(d1: SatakeData, d2: SatakeData, m, bound: int,
     if bound < 1:
         raise ValueError("bound must be >= 1")
     n = d1.n
-    t1, t2 = d1.unitary_twisted(), d2.unitary_twisted()
-    h1 = homogeneous_table(t1.params, bound + n)
-    h2 = homogeneous_table(t2.params, bound + n)
+    # s_lam is homogeneous of degree |lam|, so q^{-m|lam|} goes into t1
+    qm = Scalar.qpow(-int(2 * m))
+    t1 = [p * qm for p in d1.unitary_twisted().params]
+    t2 = d2.unitary_twisted().params
+    h1 = homogeneous_table(t1, bound + n - 1)
+    h2 = homogeneous_table(t2, bound + n - 1)
     minors1, minors2 = {}, {}
-    sums: dict[int, Coef] = {}
-    for lam in _dominant_nonneg(n, bound):
+    sums = [Coef.zero()] * (bound + 1)
+    for mu in _dominant_nonneg(n - 1, bound):
+        lam = mu + (0,)
         s1 = schur_from_table(h1, lam, n, minors1)
         if s1.is_zero():
             continue
@@ -288,14 +283,15 @@ def zeta_gl_n_gl_n(d1: SatakeData, d2: SatakeData, m, bound: int,
             continue
         # W1 * W2 * delta^{-1} = s_lam(t1) * s_lam(t2): half-densities cancel
         j = sum(lam)
-        sums[j] = sums.get(j, Coef.zero()) + s1 * s2
-    coeffs: dict[int, Coef] = {}
-    for j, acc in sums.items():
-        factor_qexp2 = -j * 2 * m
-        if Fraction(factor_qexp2).denominator != 1:
-            raise ValueError("shift off the half-integer lattice")
-        coeffs[j] = acc.mul_scalar(Scalar.qpow(int(factor_qexp2)))
-    series = TruncSeriesT(0, bound, coeffs)
+        sums[j] = sums[j] + s1 * s2
+    # lam + (1^n) contributes e_n(t1) e_n(t2) s_lam(t1) s_lam(t2) in degree
+    # |lam| + n, so the central shifts are added degree by degree
+    e = Scalar.one()
+    for p in (*t1, *t2):
+        e = e * p
+    for j in range(n, bound + 1):
+        sums[j] = sums[j] + sums[j - n].mul_scalar(e)
+    series = TruncSeriesT(0, bound, dict(enumerate(sums)))
     shift2 = int(2 * m + 2 * n - 2)
     l_inv = l_inverse(tensor(d1.rep(), d2.rep())).shift(-shift2)
     return _finish(series, l_inv.poly, strict)

@@ -8,6 +8,7 @@ import pathlib
 import pytest
 
 from conftest import random_unramified_rep, random_mixed_rep, seeded
+from llct import session
 from llct.cli import main
 from llct.dsl import parse_wd
 
@@ -70,6 +71,20 @@ def test_q_flag_accepts_prime_power():
     code, out = run(["--q", "8", "L", "Sp(unr(1),2)"])
     assert code == 0
     assert json.loads(out) == {"L_inverse": "1 - 1/8*T"}
+
+
+@pytest.mark.parametrize("q", [6, 1, 0, -4, 2 ** 32 + 15, 3.0, True])
+def test_set_q_rejects_what_the_cli_rejects(q):
+    # 2**32 + 15 is prime, but above the bound
+    with pytest.raises(ValueError, match="q must be a prime power"):
+        session.set_q(q)
+    assert session.get_q() == 3
+
+
+def test_set_q_accepts_prime_powers_below_bound():
+    for q in (2, 4, 8, 9, 25, 2 ** 31, 2 ** 32 - 5):
+        session.set_q(q)
+        assert session.get_q() == q
 
 
 def test_parse_render_roundtrip_on_random_reps():

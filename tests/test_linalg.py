@@ -206,3 +206,30 @@ def test_rational_roots_with_two_large_primes():
          Fraction(p * q - 3 * (p + q)), Fraction(3)]
     assert sorted(rational_roots(f)) == sorted(
         [Fraction(p), Fraction(q), Fraction(-p * q, 3)])
+
+
+def _trial_factorize(n):
+    fs = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            fs[d] = fs.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        fs[n] = fs.get(n, 0) + 1
+    return fs
+
+
+def test_factorize_leaves_primes_above_trial_bound_to_rho():
+    from llct.primes import factorize
+    for n in range(2, 3000):
+        assert factorize(n) == _trial_factorize(n)
+    # prime factors in (2^10, 10^5), which trial division no longer reaches
+    for ps in [(1031, 65537), (99989, 99991), (1031, 1031), (65537, 65537),
+               (4099, 4099, 4099), (1031, 1031, 65537), (99991, 99991, 99991),
+               (2, 2, 3, 1031, 99991), (1033, 1033, 1033, 1033)]:
+        want = {}
+        for p in ps:
+            want[p] = want.get(p, 0) + 1
+        assert factorize(math.prod(ps)) == want, ps

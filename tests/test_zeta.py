@@ -347,3 +347,94 @@ def test_gl_n_gl_n_series_is_cauchy_product(case):
                         Coef.zero())
                     for d in range(bound + 1)]
     assert [res.series.coeff(d) for d in range(bound + 1)] == want
+
+
+# ---------------------------------------------------------------------------
+# Homogeneity: geometric-series tables, central shifts, folded q-powers
+# ---------------------------------------------------------------------------
+
+def _geometric_product(scalars, bound):
+    """Coefficients of prod_c (1 - c T)^{-1} up to T^bound, one geometric
+    series per factor, multiplied out as truncated series."""
+    out = [Coef.one()] + [Coef.zero()] * bound
+    for c in scalars:
+        powers = [Coef.one()]
+        for _ in range(bound):
+            powers.append(powers[-1].mul_scalar(c))
+        out = [sum((out[d - k] * powers[k] for k in range(d + 1)), Coef.zero())
+               for d in range(bound + 1)]
+    return out
+
+
+def test_homogeneous_table_against_monomial_sums():
+    x = Scalar.x_power(1)
+    for params in [(rat(2), rat(2), rat(3)),
+                   (x, rat(Fraction(1, 3)), x * Scalar.qpow(1), rat(-1)),
+                   (x, x, Scalar.x_power(-1, 5)),
+                   (rat(7),), ()]:
+        h = homogeneous_table(params, 6)
+        assert len(h) == 7
+        for k in range(7):
+            want = Coef.zero()
+            for idx in itertools.combinations_with_replacement(range(len(params)), k):
+                term = Coef.one()
+                for i in idx:
+                    term = term.mul_scalar(params[i])
+                want = want + term
+            assert h[k] == want, (params, k)
+
+
+def test_central_shift_multiplies_by_e_n():
+    x = Scalar.x_power(1)
+    for params in [(rat(2), rat(3), rat(Fraction(1, 5))),
+                   (x * Scalar.qpow(1), rat(3), rat(-2)),
+                   (rat(2), x * Scalar.qpow(-1), rat(5), x * Scalar.qpow(1)),
+                   (rat(2), rat(2), rat(Fraction(1, 7)), rat(3))]:
+        n = len(params)
+        e = Scalar.one()
+        for p in params:
+            e = e * p
+        h = homogeneous_table(params, 12)
+        for lam in [(), (1,), (2, 1), (3, 1, 1), (2, 2), (4, 2, 1)]:
+            lam = tuple(lam) + (0,) * (n - len(lam))
+            shifted = tuple(v + 1 for v in lam)
+            assert schur_from_table(h, shifted, n) == \
+                schur_from_table(h, lam, n).mul_scalar(e), (params, lam)
+
+
+def test_gl4_gl4_series_is_cauchy_product():
+    d1 = SatakeData((rat(2), Scalar.make(5, qexp2=1), rat(Fraction(1, 7)),
+                     rat(-3)))
+    d2 = SatakeData((rat(Fraction(1, 2)), rat(11), Scalar.make(-2, qexp2=-1),
+                     rat(13)))
+    for m, bound in [(Fraction(-15, 2), 7), (Fraction(-7), 6), (Fraction(1, 2), 5)]:
+        res = zeta_gl_n_gl_n(d1, d2, m, bound)
+        qm = Scalar.qpow(int(-2 * m))
+        cs = [a * b * qm for a in d1.unitary_twisted().params
+              for b in d2.unitary_twisted().params]
+        assert [res.series.coeff(j) for j in range(bound + 1)] == \
+            _geometric_product(cs, bound), m
+
+
+def test_gl_n_gl1_series_is_geometric_product():
+    # sum_j h_j(alpha q^{-(n-1)/2}) q^{-jm} T^j
+    #   = prod_i (1 - alpha_i q^{-(n-1)/2 - m} T)^{-1}
+    x = Scalar.x_power(1)
+    bound = 12
+    for params in [(rat(2), rat(3)), (rat(2), x, rat(Fraction(1, 5))),
+                   (Scalar.make(3, qexp2=1), rat(-2), rat(7), x)]:
+        d = SatakeData(params)
+        n = d.n
+        for m in (Fraction(1 - n, 2), Fraction(1 - n, 2) + 2, Fraction(-2),
+                  Fraction(1, 2), Fraction(3)):
+            res = zeta_gl_n_gl1(d, m, bound)
+            tw = Scalar.qpow(-(n - 1) - int(2 * m))
+            assert [res.series.coeff(j) for j in range(bound + 1)] == \
+                _geometric_product([a * tw for a in params], bound), (params, m)
+
+
+def test_quarter_shift_is_rejected():
+    with pytest.raises(ValueError):
+        zeta_gl_n_gl1(sat(2, 3), Fraction(1, 4), 10)
+    with pytest.raises(ValueError):
+        zeta_gl_n_gl_n(sat(2, 3), sat(5, 7), Fraction(1, 4), 10)
