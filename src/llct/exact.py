@@ -556,9 +556,6 @@ class PolyT:
     def is_zero(self):
         return not self.coeffs
 
-    def constant_term(self):
-        return self.coeffs.get(0, Coef.zero())
-
     def leading(self):
         if self.is_zero():
             raise DomainError("zero polynomial has no leading coefficient")
@@ -785,13 +782,12 @@ def _ratfunc_reduce(num: PolyT, den: PolyT):
     if num.is_zero():
         return PolyT.zero(), PolyT.one()
     from .linalg import poly_gcd_plain
-    if all(c.is_plain() for c in list(num.coeffs.values()) + list(den.coeffs.values())):
-        g = poly_gcd_plain(num, den)
-        if g is not None and g.degree() != NEG_INF and g.degree() > 0:
-            qn, rn = num.divmod(g)
-            qd, rd = den.divmod(g)
-            if qn is not None and qd is not None and rn.is_zero() and rd.is_zero():
-                num, den = qn, qd
+    g = poly_gcd_plain(num, den)  # None unless every coefficient is plain
+    if g is not None and g.degree() != NEG_INF and g.degree() > 0:
+        qn, rn = num.divmod(g)
+        qd, rd = den.divmod(g)
+        if qn is not None and qd is not None and rn.is_zero() and rd.is_zero():
+            num, den = qn, qd
     lead = den.leading().monomial_scalar()
     if lead is not None:
         try:

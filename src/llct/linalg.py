@@ -582,35 +582,39 @@ def _deflate_int(f, a: int, b: int):
     return out
 
 
-def poly_mod_f(F, a, b):
-    """Remainder of coefficient-list polynomials over the field F."""
-    rem = list(a)
-    b = list(b)
-    while b and F.is_zero(b[-1]):
-        b.pop()
+def poly_divmod_f(F, a, b):
+    """(quotient, remainder) of coefficient-list polynomials over the field
+    F, both with trailing zeros trimmed."""
+    b = _trim(F, b)
     if not b:
-        raise ZeroDivisionError("polynomial mod by zero")
-    db, lb = len(b) - 1, b[-1]
-    while True:
+        raise ZeroDivisionError("polynomial division by zero")
+    db, inv = len(b) - 1, F.inv(b[-1])
+    rem = _trim(F, a)
+    quo = [F.zero] * max(len(rem) - db, 0)
+    while len(rem) > db:
+        f = F.mul(rem[-1], inv)
+        shift = len(rem) - 1 - db
+        quo[shift] = f
+        rem.pop()
+        for i in range(db):
+            rem[shift + i] = F.sub(rem[shift + i], F.mul(f, b[i]))
         while rem and F.is_zero(rem[-1]):
             rem.pop()
-        if len(rem) - 1 < db:
-            break
-        f = F.mul(rem[-1], F.inv(lb))
-        shift = len(rem) - 1 - db
-        for i, c in enumerate(b):
-            rem[shift + i] = F.sub(rem[shift + i], F.mul(f, c))
-        rem.pop()
-    return rem
+    return quo, rem
+
+
+def _trim(F, a):
+    a = list(a)
+    while a and F.is_zero(a[-1]):
+        a.pop()
+    return a
 
 
 def poly_gcd_f(F, a, b):
     """Monic gcd of coefficient-list polynomials over the field F."""
-    a, b = list(a), list(b)
-    while b and any(not F.is_zero(c) for c in b):
-        a, b = b, poly_mod_f(F, a, b)
-    while a and F.is_zero(a[-1]):
-        a.pop()
+    a, b = _trim(F, a), _trim(F, b)
+    while b:
+        a, b = b, poly_divmod_f(F, a, b)[1]
     if a:
         inv = F.inv(a[-1])
         a = [F.mul(c, inv) for c in a]
@@ -618,26 +622,8 @@ def poly_gcd_f(F, a, b):
 
 
 def poly_quot_f(F, a, b):
-    """Exact quotient a // b (remainder discarded) over the field F."""
-    a, b = list(a), list(b)
-    while b and F.is_zero(b[-1]):
-        b.pop()
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    out = [F.zero] * max(len(a) - len(b) + 1, 0)
-    lb = b[-1]
-    while True:
-        while a and F.is_zero(a[-1]):
-            a.pop()
-        if len(a) < len(b):
-            break
-        f = F.mul(a[-1], F.inv(lb))
-        shift = len(a) - len(b)
-        out[shift] = f
-        for i, c in enumerate(b):
-            a[shift + i] = F.sub(a[shift + i], F.mul(f, c))
-        a.pop()
-    return out
+    """Quotient a // b (remainder discarded) over the field F."""
+    return poly_divmod_f(F, a, b)[0]
 
 
 class EigenvalueError(ValueError):
@@ -837,65 +823,27 @@ def _polyT_to_fe_list(p):
 def poly_divides_plain(a, b) -> bool:
     """Divisibility over the fraction field Q(x)(sqrt q); used when the
     coefficient-ring division is inconclusive."""
-    if any(not c.is_plain() for c in list(a.coeffs.values()) + list(b.coeffs.values())):
+    if not _all_plain(a, b):
         from .exact import DomainError
         raise DomainError("poly_divides needs opaque/root-free coefficients")
-    fa, fb = _polyT_to_fe_list(a), _polyT_to_fe_list(b)
-    if not fb:
-        return True
-    rem = list(fb)
-    da, la = len(fa) - 1, fa[-1]
-    while len(rem) - 1 >= da and any(not c.is_zero() for c in rem):
-        while rem and rem[-1].is_zero():
-            rem.pop()
-        if len(rem) - 1 < da:
-            break
-        f = rem[-1] * la.inv()
-        shift = len(rem) - 1 - da
-        for i, c in enumerate(fa):
-            rem[shift + i] = rem[shift + i] - f * c
-        rem.pop()
-    return all(c.is_zero() for c in rem)
+    fb = _polyT_to_fe_list(b)
+    return not fb or not poly_divmod_f(FieldFE, fb, _polyT_to_fe_list(a))[1]
 
 
 def poly_gcd_plain(a, b):
     """gcd over Q(x)(sqrt q), returned as a PolyT with cleared denominators,
     or None when coefficients are outside the plain subring."""
-    from .exact import PolyT, Coef
-    if any(not c.is_plain() for c in list(a.coeffs.values()) + list(b.coeffs.values())):
+    from .exact import PolyT
+    if not _all_plain(a, b):
         return None
-    fa, fb = _polyT_to_fe_list(a), _polyT_to_fe_list(b)
-    while fb and any(not c.is_zero() for c in fb):
-        fa, fb = fb, _fe_poly_mod(fa, fb)
-    while fa and fa[-1].is_zero():
-        fa.pop()
-    if not fa:
-        return PolyT.zero()
-    lead_inv = fa[-1].inv()
-    fa = [c * lead_inv for c in fa]
+    g = poly_gcd_f(FieldFE, _polyT_to_fe_list(a), _polyT_to_fe_list(b))
     coeffs = {}
-    for d, fe in enumerate(fa):
-        c = _fe_to_plain_coef(fe)
-        if c is None:
+    for d, fe in enumerate(g):
+        coeffs[d] = _fe_to_plain_coef(fe)
+        if coeffs[d] is None:
             return None
-        if not c.is_zero():
-            coeffs[d] = c
     return PolyT(coeffs)
 
 
-def _fe_poly_mod(fa, fb):
-    rem = list(fa)
-    while fb and fb[-1].is_zero():
-        fb = fb[:-1]
-    db, lb = len(fb) - 1, fb[-1]
-    while len(rem) - 1 >= db:
-        while rem and rem[-1].is_zero():
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        f = rem[-1] * lb.inv()
-        shift = len(rem) - 1 - db
-        for i, c in enumerate(fb):
-            rem[shift + i] = rem[shift + i] - f * c
-        rem.pop()
-    return rem
+def _all_plain(a, b):
+    return all(c.is_plain() for p in (a, b) for c in p.coeffs.values())

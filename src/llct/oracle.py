@@ -26,9 +26,9 @@ from .linalg import (FE, FieldFE, FieldQ, EigenvalueError, charpoly, kernel,
                      monomial_roots_fe, rational_roots, row_space_basis,
                      subspace_dim, subspace_intersect, subspace_sum,
                      identity, scalar_to_fe, fe_monomial_parts)
-from .partitions import jordan_type_matrix
 from .session import get_q, q_pow
-from .wd import WDRep, SpehBlock, UNR
+from .wd import (UNR, UNRAMIFIED_LABEL, SpehBlock, WDFamily, WDRep,
+                 family_jordan_at, family_jordan_generic)
 
 
 @dataclass(frozen=True)
@@ -134,20 +134,19 @@ def realize(r: WDRep) -> MatrixWD:
     if not r.is_unramified():
         raise DomainError("realize needs unramified (dim-1) atoms only")
     size = r.rank
-    phi = [[Fraction(0)] * size for _ in range(size)]
-    nn = [[Fraction(0)] * size for _ in range(size)]
-    fe_needed = any(b.alpha.qh or b.alpha.involves_x() for b in r.blocks)
-    if fe_needed:
-        phi = [[FE.const(0)] * size for _ in range(size)]
-        nn = [[FE.const(0)] * size for _ in range(size)]
+    if any(b.alpha.qh or b.alpha.involves_x() for b in r.blocks):
+        F, entry = FieldFE, scalar_to_fe
+    else:
+        F, entry = FieldQ, Scalar.rational_value
+    phi = [[F.zero] * size for _ in range(size)]
+    nn = [[F.zero] * size for _ in range(size)]
     off = 0
     for b in r.blocks:
-        a = scalar_to_fe(b.alpha) if fe_needed else b.alpha.rational_value()
+        a = entry(b.alpha)
         for j in range(b.m):
-            qj = FE.const(q_pow(-j)) if fe_needed else q_pow(-j)
-            phi[off + j][off + j] = a * qj
+            phi[off + j][off + j] = F.mul(a, F.from_int(q_pow(-j)))
             if j + 1 < b.m:
-                nn[off + j + 1][off + j] = FE.const(1) if fe_needed else Fraction(1)
+                nn[off + j + 1][off + j] = F.one
         off += b.m
     return MatrixWD.make(phi, nn)
 
@@ -285,21 +284,15 @@ def _classify_chain(F, nmat, chain):
 def tensor_matrix(m1: MatrixWD, m2: MatrixWD) -> MatrixWD:
     """Kronecker realization of the tensor product:
     Phi = Phi1 (x) Phi2, N = N1 (x) 1 + 1 (x) N2."""
-    use_fe = m1.field == "FE" or m2.field == "FE"
-    if use_fe:
-        a_phi, b_phi = _to_fe([list(r) for r in m1.phi]), _to_fe([list(r) for r in m2.phi])
-        a_n, b_n = _to_fe([list(r) for r in m1.n]), _to_fe([list(r) for r in m2.n])
-        zero, one = FE.const(0), FE.const(1)
-    else:
-        a_phi, b_phi = [list(r) for r in m1.phi], [list(r) for r in m2.phi]
-        a_n, b_n = [list(r) for r in m1.n], [list(r) for r in m2.n]
-        zero, one = Fraction(0), Fraction(1)
+    F = FieldFE if "FE" in (m1.field, m2.field) else FieldQ
+    a_phi, b_phi, a_n, b_n = (_to_fe(m) if F is FieldFE else m
+                              for m in (m1.phi, m2.phi, m1.n, m2.n))
     n1, n2 = m1.size, m2.size
-    phi = [[a_phi[i1][j1] * b_phi[i2][j2]
+    phi = [[F.mul(a_phi[i1][j1], b_phi[i2][j2])
             for j1 in range(n1) for j2 in range(n2)]
            for i1 in range(n1) for i2 in range(n2)]
-    nn = [[(a_n[i1][j1] if i2 == j2 else zero)
-           + (b_n[i2][j2] if i1 == j1 else zero)
+    nn = [[F.add(a_n[i1][j1] if i2 == j2 else F.zero,
+                 b_n[i2][j2] if i1 == j1 else F.zero)
            for j1 in range(n1) for j2 in range(n2)]
           for i1 in range(n1) for i2 in range(n2)]
     return MatrixWD.make(phi, nn)
@@ -317,8 +310,7 @@ def dual_matrix(m: MatrixWD) -> MatrixWD:
 
 def twist_matrix(m: MatrixWD, i: int) -> MatrixWD:
     F = m._field()
-    qi = q_pow(-i)
-    s = FE.const(qi) if m.field == "FE" else qi
+    s = F.from_int(q_pow(-i))
     phi = [[F.mul(s, e) for e in row] for row in m.phi]
     return MatrixWD.make(phi, [list(r) for r in m.n])
 
@@ -402,11 +394,8 @@ def generic_rank_profile(n_rows, sample_points):
     Entries are plain Scalars (Laurent polynomials in x); the generic
     type uses ranks over the rational-function field.
     """
-    fe_rows = [[scalar_to_fe(e) for e in row] for row in n_rows]
-    generic = jordan_type_matrix(fe_rows, FieldFE)
-    special = {}
-    for a in sample_points:
-        a = Fraction(a)
-        rows = [[e.specialize_x(a).rational_value() for e in row] for row in n_rows]
-        special[a] = jordan_type_matrix(rows, FieldQ)
+    fam = WDFamily(matrix_n=n_rows)
+    generic = family_jordan_generic(fam).as_dict()[UNRAMIFIED_LABEL]
+    special = {Fraction(a): family_jordan_at(fam, a).as_dict()[UNRAMIFIED_LABEL]
+               for a in sample_points}
     return generic, special

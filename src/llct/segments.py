@@ -49,18 +49,17 @@ class Multisegment:
     ordering_mode: OrderingMode = OrderingMode.UNORDERED
 
     def __post_init__(self):
-        if self.ordering_mode == OrderingMode.GEN_QUOTIENT:
-            segs = self.segments
-            for i in range(len(segs)):
-                for j in range(i + 1, len(segs)):
-                    if precedes(segs[j], segs[i]):
-                        raise ValueError("ordering violates the GenQuotient condition")
-        elif self.ordering_mode == OrderingMode.GEN_SUB:
-            segs = self.segments
-            for i in range(len(segs)):
-                for j in range(i + 1, len(segs)):
-                    if precedes(segs[i], segs[j]):
-                        raise ValueError("ordering violates the GenSub condition")
+        mode = self.ordering_mode
+        if mode not in (OrderingMode.GEN_QUOTIENT, OrderingMode.GEN_SUB):
+            return
+        segs = self.segments
+        for i in range(len(segs)):
+            for j in range(i + 1, len(segs)):
+                early, late = segs[i], segs[j]
+                if mode == OrderingMode.GEN_QUOTIENT:
+                    early, late = late, early
+                if precedes(early, late):
+                    raise ValueError(f"ordering violates the {mode.value} condition")
 
     def render(self) -> str:
         return "[" + "; ".join(s.render() for s in self.segments) + "]"

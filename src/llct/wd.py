@@ -245,6 +245,13 @@ def jordan_data(r: WDRep) -> MultiPartition:
     return MultiPartition.of({lbl: Partition(tuple(ms)) for lbl, ms in groups.items()})
 
 
+def _block_weight(b: SpehBlock):
+    wa = b.alpha.q_weight()
+    if wa is None:
+        raise DomainError(f"weight undefined for alpha = {b.alpha.render()}")
+    return b.atom.weight + wa - (b.m - 1)
+
+
 def is_pure(r: WDRep, w) -> bool:
     """Purity of weight w: every block satisfies
     weight(atom) + weight(alpha) - (m - 1) = w.
@@ -253,27 +260,13 @@ def is_pure(r: WDRep, w) -> bool:
     filtration in the test-suite.
     """
     w = Fraction(w)
-    for b in r.blocks:
-        wa = b.alpha.q_weight()
-        if wa is None:
-            raise DomainError(
-                f"weight undefined for alpha = {b.alpha.render()}")
-        if b.atom.weight + wa - (b.m - 1) != w:
-            return False
-    return True
+    return all(_block_weight(b) == w for b in r.blocks)
 
 
 def pure_weight(r: WDRep):
     """The unique purity weight, or None if the rep is not pure."""
-    weights = set()
-    for b in r.blocks:
-        wa = b.alpha.q_weight()
-        if wa is None:
-            raise DomainError(f"weight undefined for alpha = {b.alpha.render()}")
-        weights.add(b.atom.weight + wa - (b.m - 1))
-    if len(weights) == 1:
-        return weights.pop()
-    return None
+    weights = {_block_weight(b) for b in r.blocks}
+    return weights.pop() if len(weights) == 1 else None
 
 
 # ---------------------------------------------------------------------------

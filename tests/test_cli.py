@@ -101,3 +101,13 @@ def test_gamma_renders_negative_unit_coefficient():
     code, out = run(["gamma", "Sp(unr(q^(1/2)),1)"])
     assert code == 0
     assert json.loads(out)["gamma"] == "(1 - q^(1/2)*T) / (1 - 1/9*q^(1/2)*T)"
+
+
+def test_pairing_verb():
+    assert run(["pairing", "--params", "2,5", "--bound", "20"]) == (0, '{"ok": true}\n')
+    code, out = run(["pairing", "--params", "2,5", "--bound", "10"])
+    assert code == 3
+    assert json.loads(out) == {"error": "domain", "message":
+                               "bound >= 20 required for a meaningful certificate"}
+    code, out = run(["pairing", "--params", "0,1", "--bound", "20"])
+    assert code == 3 and json.loads(out)["error"] == "domain"

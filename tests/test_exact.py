@@ -88,6 +88,24 @@ def test_poly_divides_examples():
     assert poly_divides(a, b)
 
 
+def _coef(*scalars):
+    out = Coef.zero()
+    for s in scalars:
+        out = out + Coef.from_scalar(s)
+    return out
+
+
+def test_poly_divides_with_non_monomial_leading_coefficient():
+    one_plus_x = _coef(rat(1), Scalar.make(1, xexp=1))
+    sqrt_q = Scalar.make(1, qexp2=1)
+    factor = PolyT({0: 1, 1: sqrt_q})                       # 1 + q^(1/2) T
+    a = PolyT({1: one_plus_x}) * factor                     # (1 + x) T (1 + q^(1/2) T)
+    # the cofactor needs 1/(1 + x): divisible over Q(x)(sqrt q), not in the ring
+    assert poly_divides(a, PolyT({1: 1}) * factor * PolyT({0: 2, 1: -1}))
+    assert not poly_divides(a, PolyT({2: 1}) * PolyT({0: 1, 1: 1}))
+    assert not poly_divides(a, PolyT({1: 1}) * factor + PolyT.one())
+
+
 def test_poly_divides_zero_divisor_error():
     with pytest.raises(DomainError):
         poly_divides(PolyT.zero(), PolyT.one())
@@ -194,6 +212,17 @@ def test_ratfunc_normal_form_unique():
     r2 = RatFuncT(num * scale, den * scale)
     assert r1.num == r2.num and r1.den == r2.den
     assert r1 == r2
+
+
+def test_ratfunc_normal_form_cancels_sqrt_q_factor():
+    x = Scalar.make(1, xexp=1)
+    num = PolyT({0: 1, 1: rat(-2)})
+    den = PolyT({0: 1, 1: x})
+    g = PolyT({0: _coef(rat(1), x), 1: Scalar.make(1, qexp2=1)})  # 1 + x + q^(1/2) T
+    r1 = RatFuncT(num, den)
+    r2 = RatFuncT(num * g, den * g)
+    assert r2.render() == r1.render()
+    assert r1.num == r2.num and r1.den == r2.den
 
 
 def test_ratfunc_root_list_cancellation():

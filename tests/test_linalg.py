@@ -1,16 +1,18 @@
-"""Characteristic polynomials and rational roots against independent checks."""
+"""Characteristic polynomials, rational roots and polynomial division
+against independent checks."""
 
 import itertools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_unramified_rep, seeded
 from llct.dsl import parse_wd
 from llct.exact import PolyT, Scalar, det_char
-from llct.linalg import (FE, FieldFE, FieldQ, charpoly, rational_roots,
-                         scalar_to_fe)
+from llct.linalg import (FE, FieldFE, FieldQ, charpoly, poly_divmod_f,
+                         poly_gcd_f, poly_quot_f, rational_roots, scalar_to_fe)
 from llct.oracle import realize
 
 
@@ -233,3 +235,73 @@ def test_factorize_leaves_primes_above_trial_bound_to_rho():
         for p in ps:
             want[p] = want.get(p, 0) + 1
         assert factorize(math.prod(ps)) == want, ps
+
+
+# ---------------------------------------------------------------------------
+# polynomial division and gcd over a field (poly_divmod_f)
+# ---------------------------------------------------------------------------
+
+def _fe_x(c=1, k=1):
+    return scalar_to_fe(Scalar.make(c, xexp=k))
+
+
+def _fe_sqrt_q(c=1):
+    return scalar_to_fe(Scalar.make(c, qexp2=1))
+
+
+def _poly_add(F, a, b):
+    n = max(len(a), len(b))
+    a, b = a + [F.zero] * (n - len(a)), b + [F.zero] * (n - len(b))
+    return [F.add(x, y) for x, y in zip(a, b)]
+
+
+def _trimmed(F, a):
+    a = list(a)
+    while a and F.is_zero(a[-1]):
+        a.pop()
+    return a
+
+
+def _same_poly(F, a, b):
+    a, b = _trimmed(F, a), _trimmed(F, b)
+    return len(a) == len(b) and all(F.eq(x, y) for x, y in zip(a, b))
+
+
+def _gcd_cases():
+    g = [Fraction(2), FieldQ.one]                        # X + 2
+    u = [Fraction(-3), Fraction(1, 2), FieldQ.one]       # X^2 + X/2 - 3
+    v = [Fraction(5), FieldQ.one]                        # X + 5
+    yield FieldQ, g, u, v
+    one = FieldFE.one
+    g = [_fe_x(), _fe_sqrt_q(2), one]                  # X^2 + 2 sqrt(q) X + x
+    u = [FE.const(3), _fe_x(1, -1)]                    # x^-1 X + 3
+    v = [_fe_sqrt_q(), one, FE.const(Fraction(1, 2))]  # X^2/2 + X + sqrt(q)
+    yield FieldFE, g, u, v
+
+
+def test_poly_gcd_f_recovers_common_factor():
+    for F, g, u, v in _gcd_cases():
+        a, b = _poly_mul(F, g, u), _poly_mul(F, g, v)
+        got = poly_gcd_f(F, a + [F.zero], b)
+        assert F.eq(got[-1], F.one)
+        inv = F.inv(g[-1])
+        assert _same_poly(F, got, [F.mul(c, inv) for c in g])
+        for p in (a, b):
+            assert _same_poly(F, _poly_mul(F, poly_quot_f(F, p, got), got), p)
+        assert poly_gcd_f(F, [F.zero, F.zero], [F.zero]) == []
+        assert _same_poly(F, poly_gcd_f(F, [], b), poly_gcd_f(F, b, []))
+
+
+def test_poly_divmod_f_division_identity():
+    for F, g, u, v in _gcd_cases():
+        a = _poly_add(F, _poly_mul(F, g, u), v) + [F.zero, F.zero]
+        for b in (g, u, v, g + [F.zero]):
+            quo, rem = poly_divmod_f(F, a, b)
+            assert len(_trimmed(F, b)) > len(rem)
+            assert quo == _trimmed(F, quo) and rem == _trimmed(F, rem)
+            assert _same_poly(F, _poly_add(F, _poly_mul(F, quo, b), rem), a)
+            assert poly_quot_f(F, a, b) == quo
+        assert poly_divmod_f(F, v, _poly_mul(F, g, u)) == ([], _trimmed(F, v))
+        for div in (poly_divmod_f, poly_quot_f):
+            with pytest.raises(ZeroDivisionError):
+                div(F, a, [F.zero])

@@ -145,6 +145,17 @@ def test_is_pure_examples():
         is_pure(WDRep([sp(2, 1)]), 0)
 
 
+def test_is_pure_stops_at_first_mismatching_block():
+    x = Scalar.make(1, xexp=1)
+    r = WDRep([sp(x, 2), sp(1, 1)])
+    assert r.blocks[0].m == 1              # the rational block sorts first
+    assert not is_pure(r, 5)
+    with pytest.raises(DomainError):
+        is_pure(r, 0)
+    with pytest.raises(DomainError):
+        pure_weight(r)
+
+
 def test_purity_agrees_with_oracle_filtration():
     # blockwise rule vs weights read off the monodromy filtration
     cases = [WDRep([sp(1, 2)]),
