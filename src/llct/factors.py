@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exact import Scalar, PolyT, RatFuncT, Coef, DomainError, poly_divides
 from .wd import (WDRep, WDFamily, dual, twist, inertia_invariants,
-                 diag_entries, specialize, pure_weight)
+                 diag_entries, specialize, pure_weight, tensor)
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,6 @@ def l_inverse(r: WDRep) -> LInverse:
 def rs_l_inverse(r1: WDRep, r2: WDRep, shift_qexp2: int = 0) -> LInverse:
     """Rankin-Selberg inverse L-factor via the tensor representation;
     the optional shift substitutes T -> q^(shift_qexp2/2)*T."""
-    from .wd import tensor
     out = l_inverse(tensor(r1, r2))
     return out.shift(-shift_qexp2) if shift_qexp2 else out
 

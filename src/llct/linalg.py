@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .primes import factorize
+from .exact import TRIVIAL_ROOT, Coef, DomainError, PolyT
 from .session import get_q, q_pow, q_is_square
 
 Q0 = Fraction(0)
@@ -510,25 +510,24 @@ def coords_in_basis(F, basis, v):
 # Root finding
 # ---------------------------------------------------------------------------
 
-def _int_divisors(n: int):
-    """Sorted positive divisors of n != 0."""
-    divs = [1]
-    for p, e in factorize(abs(n)).items():
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def rational_roots(coeffs: list[Fraction]):
     """All rational roots (with multiplicity) of sum coeffs[i] X^i.
 
-    Works on the primitive integer multiple f of the polynomial.  A root
-    a/b in lowest terms (b > 0) has a | f(0) and b | lead(f), and by
-    Gauss's lemma (bX - a) divides f in Z[X], so also (b - a) | f(1) and
-    (b + a) | f(-1).  Pairs (a, b) that pass these filters are tested by
-    Horner evaluation in Z and divided out exactly in Z[X].
+    Loos's p-adic method (SIAM J. Comput. 12, 1983), in integers and
+    without factoring any.  A root a/b in lowest terms of the square-free
+    part s of the primitive integer multiple f has a | s(0) and b | lead(s)
+    (Gauss's lemma).  For a prime p not dividing lead(s), a/b is a root r
+    of s mod p; when s'(r) is a unit mod p, Newton steps lift r to the
+    p-adic root, and rational reconstruction modulo p^k > 2 |s(0) lead(s)|
+    returns a/b.  Candidates are tested exactly, then divided out of s once
+    and out of f in Z[X] as often as they divide.  A pass in which no root
+    of s mod p is a root of s' mod p has seen every rational root;
+    otherwise the next prime is tried.  Only the primes dividing
+    lead(s) * disc(s) fail so, hence the loop ends.  Roots come out in
+    order of denominator, then of absolute numerator, positive first.
     """
-    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
-    f = [int(c * den) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    f = [c.numerator * (den // c.denominator) for c in coeffs]
     while f and f[-1] == 0:
         f.pop()
     if len(f) <= 1:
@@ -538,27 +537,89 @@ def rational_roots(coeffs: list[Fraction]):
     f = f[zeros:]
     g = math.gcd(*f)
     f = [c // g for c in f]
-    nums = _int_divisors(f[0])
-    f1, fm1 = sum(f), _eval_int_poly(f, -1, 1)
-    for b in _int_divisors(f[-1]):
-        if f[-1] % b:
+    s = _squarefree_int(f)
+    found, p = [], 1
+    while len(s) > 1:
+        p += 1
+        if s[-1] % p == 0 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             continue
-        for a0 in nums:
-            if f[0] % a0:
+        bound, collided, cands = 2 * abs(s[0] * s[-1]), False, []
+        for r in range(p):
+            v, d = _eval_mod(s, r, p)
+            if v:
                 continue
-            for a in (a0, -a0):
-                while (_divides(b - a, f1) and _divides(b + a, fm1)
-                       and math.gcd(a, b) == 1 and _eval_int_poly(f, a, b) == 0):
-                    roots.append(Fraction(a, b))
-                    f = _deflate_int(f, a, b)
-                    if len(f) == 1:
-                        return roots
-                    f1, fm1 = sum(f), _eval_int_poly(f, -1, 1)
-    return roots
+            if d == 0:
+                collided = True
+                continue
+            m = p
+            while m <= bound:
+                m *= m
+                v, d = _eval_mod(s, r, m)
+                r = (r - v * pow(d, -1, m)) % m
+            c = _rational_reconstruction(r, m, abs(s[0]))
+            if _eval_int_poly(s, c.numerator, c.denominator) == 0:
+                cands.append(c)
+        for c in cands:
+            s = _deflate_int(s, c.numerator, c.denominator)
+            while _eval_int_poly(f, c.numerator, c.denominator) == 0:
+                found.append(c)
+                f = _deflate_int(f, c.numerator, c.denominator)
+        if not collided:
+            break
+    return roots + sorted(found, key=lambda c: (c.denominator, abs(c), c < 0))
 
 
-def _divides(d: int, n: int) -> bool:
-    return n % d == 0 if d else n == 0
+def _squarefree_int(f):
+    """f / gcd(f, f') in Z[X] for primitive f: the gcd by primitive
+    pseudo-remainders, then an exact quotient (Gauss's lemma)."""
+    a, b = f, [i * c for i, c in enumerate(f)][1:]
+    while b:
+        g = math.gcd(*b)
+        b = [c // g for c in b]
+        a, b = b, _prem(a, b)
+    if len(a) == 1:
+        return f
+    q, r, n = [0] * (len(f) - len(a) + 1), list(f), len(a) - 1
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + n] // a[-1]
+        for i in range(n):
+            r[k + i] -= q[k] * a[i]
+    return q
+
+
+def _prem(a, b):
+    """Pseudo-remainder of a by b in Z[X], trailing zeros trimmed."""
+    r, n = list(a), len(b) - 1
+    while len(r) > n:
+        lead = r.pop()
+        r = [b[-1] * c for c in r]
+        for i in range(n):
+            r[len(r) - n + i] -= lead * b[i]
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _eval_mod(f, r: int, m: int):
+    """(f(r), f'(r)) mod m, by one Horner pass."""
+    v = d = 0
+    for c in reversed(f):
+        d = (d * r + v) % m
+        v = (v * r + c) % m
+    return v, d
+
+
+def _rational_reconstruction(u: int, m: int, bound: int):
+    """The fraction a/b with |a| <= bound and a = u b mod m, by the
+    half-extended Euclid on (m, u) (von zur Gathen and Gerhard, Modern
+    Computer Algebra, 5.10).  It is found whenever one exists with
+    (bound + 1) b <= m; otherwise the result is a fraction that the
+    caller's exact test rejects."""
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(r1, t1)
 
 
 def _eval_int_poly(f, a: int, b: int) -> int:
@@ -758,15 +819,9 @@ def fe_monomial_parts(v: FE):
 
 def scalar_to_fe(s) -> FE:
     """Plain Scalar (no roots of unity, no opaques) to a + b*sqrt(q)."""
-    if s.root != (0, 1) or s.opaques:
+    if s.root != TRIVIAL_ROOT or s.opaques:
         raise ValueError("scalar outside Q(x)(sqrt q): " + s.render())
-    shift = min(list(s.xpoly) + [0])
-    den = QPoly({-shift: Q1}) if shift < 0 else QPoly.const(1)
-    poly = QPoly({k - shift: v for k, v in s.xpoly.items()})
-    rx = RatX(poly, den)
-    if s.qh:
-        return FE(RatX.const(0), rx)
-    return FE(rx)
+    return _plain_coef_to_fe(Coef.from_scalar(s))
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +843,6 @@ def _plain_coef_to_fe(coef) -> FE:
 
 def _fe_to_plain_coef(v: FE):
     """Back-convert when denominators are monomials x^k; else None."""
-    from .exact import Coef, TRIVIAL_ROOT
     terms = {}
     for par, rx in ((0, v.a), (1, v.b)):
         if rx.is_zero():
@@ -816,7 +870,6 @@ def _polyT_to_fe_list(p):
     if p.is_zero():
         return []
     deg = p.degree()
-    from .exact import Coef
     return [_plain_coef_to_fe(p.coeffs.get(d, Coef.zero())) for d in range(deg + 1)]
 
 
@@ -824,7 +877,6 @@ def poly_divides_plain(a, b) -> bool:
     """Divisibility over the fraction field Q(x)(sqrt q); used when the
     coefficient-ring division is inconclusive."""
     if not _all_plain(a, b):
-        from .exact import DomainError
         raise DomainError("poly_divides needs opaque/root-free coefficients")
     fb = _polyT_to_fe_list(b)
     return not fb or not poly_divmod_f(FieldFE, fb, _polyT_to_fe_list(a))[1]
@@ -833,7 +885,6 @@ def poly_divides_plain(a, b) -> bool:
 def poly_gcd_plain(a, b):
     """gcd over Q(x)(sqrt q), returned as a PolyT with cleared denominators,
     or None when coefficients are outside the plain subring."""
-    from .exact import PolyT
     if not _all_plain(a, b):
         return None
     g = poly_gcd_f(FieldFE, _polyT_to_fe_list(a), _polyT_to_fe_list(b))

@@ -10,9 +10,10 @@ otherwise.  Eigenvalues of Phi must be monomials c * q^(h/2) * x^k;
 general characteristic-polynomial factorization is out of scope.
 
 Eigenvalues come from the characteristic polynomial of Phi (Hessenberg
-reduction, O(n^3)), whose roots are found with multiplicity and no
-square-free gcd: over Q by an integer-only rational-root search that
-deflates exactly in Z[X], over Q(x)(sqrt q) by a monomial root search.
+reduction, O(n^3)), whose roots are found with multiplicity: over Q by
+Loos's p-adic rational-root search (Hensel lifting and rational
+reconstruction, no integer factoring) with exact deflation in Z[X], over
+Q(x)(sqrt q) by a monomial root search built on it.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .exact import Scalar
 from .partitions import dominance_leq
-from .wd import WDRep, InertialAtom, jordan_data
+from .wd import WDRep, InertialAtom, SpehBlock, jordan_data, _render_block
 
 
 class OrderingMode(enum.Enum):
@@ -38,7 +38,6 @@ class Segment:
         return (self.sc_atom.label, -self.m, self.alpha.sort_key())
 
     def render(self) -> str:
-        from .wd import _render_block, SpehBlock
         inner = _render_block(SpehBlock(self.sc_atom, self.alpha, self.m))
         return "Delta" + inner[2:]
 

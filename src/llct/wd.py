@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .exact import Scalar, DomainError
 from .partitions import Partition, MultiPartition, jordan_type_matrix, dominance_leq
-from .linalg import FieldQ, FieldFE
+from .linalg import FieldQ, FieldFE, scalar_to_fe
 
 UNRAMIFIED_LABEL = "1"
 
@@ -318,7 +318,6 @@ def specialize(fam: WDFamily, a) -> WDRep:
 def family_jordan_generic(fam: WDFamily) -> MultiPartition:
     if fam.rep is not None:
         return jordan_data(fam.rep)
-    from .linalg import scalar_to_fe
     mat = [[scalar_to_fe(e) for e in row] for row in fam.matrix_n]
     t = jordan_type_matrix(mat, FieldFE)
     return MultiPartition.of({UNRAMIFIED_LABEL: t})

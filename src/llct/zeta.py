@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Scalar, Coef, PolyT, TruncSeriesT, DomainError
+from .exact import Scalar, Coef, PolyT, TruncSeriesT, DomainError, _coef_div
 from .factors import l_inverse, gamma
 from .wd import WDRep, sp, tensor
 
@@ -182,7 +182,6 @@ def whittaker_value(d: SatakeData, lam) -> Coef:
 
 
 def _coef_div_exact(a: Coef, b: Coef) -> Coef:
-    from .exact import _coef_div
     out = _coef_div(a, b)
     if out is None:
         raise DomainError("inexact coefficient division")

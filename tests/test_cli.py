@@ -111,3 +111,12 @@ def test_pairing_verb():
                                "bound >= 20 required for a meaningful certificate"}
     code, out = run(["pairing", "--params", "0,1", "--bound", "20"])
     assert code == 3 and json.loads(out)["error"] == "domain"
+
+
+def test_oracle_roundtrip_with_a_product_of_two_48_bit_primes():
+    # the constant coefficient of the characteristic polynomial carries
+    # 281474976710677 * 281474977710673, a 97-bit product of two primes
+    code, out = run(["oracle", "roundtrip",
+                     "Sp(unr(281474976710677/5),1)+Sp(unr(844424933132019),1)"])
+    assert code == 0
+    assert json.loads(out)["ok"] is True

@@ -3,6 +3,7 @@ against independent checks."""
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_unramified_rep, seeded
 from llct.dsl import parse_wd
 from llct.exact import PolyT, Scalar, det_char
-from llct.linalg import (FE, FieldFE, FieldQ, charpoly, poly_divmod_f,
-                         poly_gcd_f, poly_quot_f, rational_roots, scalar_to_fe)
+from llct.linalg import (FE, FieldFE, FieldQ, QPoly, RatX, charpoly,
+                         poly_divmod_f, poly_gcd_f, poly_quot_f, rational_roots,
+                         scalar_to_fe)
 from llct.oracle import realize
 
 
@@ -183,23 +185,8 @@ def test_rational_roots_recovers_random_rational_roots(roots, scale, extra):
 
 
 # ---------------------------------------------------------------------------
-# integer factorization behind the rational-root candidates
+# rational_roots: large prime factors and many divisors
 # ---------------------------------------------------------------------------
-
-def test_divisors_split_cofactors_above_trial_bound():
-    from llct.linalg import _int_divisors
-    from llct.primes import factorize as _factorize
-    p, q = 100003, 100019
-    assert _int_divisors(p * q) == [1, p, q, p * q]
-    assert _factorize(p ** 3) == {p: 3}
-    assert _factorize(2 ** 5 * 17 * p * q) == {2: 5, 17: 1, p: 1, q: 1}
-    assert _factorize(1000000007 * 1000000009) == {1000000007: 1, 1000000009: 1}
-    assert _factorize(2 ** 89 - 1) == {2 ** 89 - 1: 1}
-    for n in range(2, 3000):
-        fs = _factorize(n)
-        assert math.prod(f ** e for f, e in fs.items()) == n
-        assert all(all(f % d for d in range(2, math.isqrt(f) + 1)) for f in fs)
-
 
 def test_rational_roots_with_two_large_primes():
     p, q = 100003, 100019
@@ -210,31 +197,58 @@ def test_rational_roots_with_two_large_primes():
         [Fraction(p), Fraction(q), Fraction(-p * q, 3)])
 
 
-def _trial_factorize(n):
-    fs = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            fs[d] = fs.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        fs[n] = fs.get(n, 0) + 1
-    return fs
+def test_rational_roots_cost_does_not_follow_the_divisor_count():
+    # the constant coefficient of (X^2 - 2*7^9*3^20) * prod (X - eig) has
+    # 64,260 divisors
+    phi = realize(parse_wd("Sp(unr(10/7),16)")).phi
+    eig = [phi[i][i] for i in range(16)]
+    coeffs = _expand(eig, extra=(-2 * 7 ** 9 * 3 ** 20, 0, 1))
+    t0 = time.time()
+    got = rational_roots(coeffs)
+    elapsed = time.time() - t0
+    assert sorted(got) == sorted(eig)
+    assert elapsed < 0.5, f"too slow: {elapsed:.2f}s"
 
 
-def test_factorize_leaves_primes_above_trial_bound_to_rho():
-    from llct.primes import factorize
-    for n in range(2, 3000):
-        assert factorize(n) == _trial_factorize(n)
-    # prime factors in (2^10, 10^5), which trial division no longer reaches
-    for ps in [(1031, 65537), (99989, 99991), (1031, 1031), (65537, 65537),
-               (4099, 4099, 4099), (1031, 1031, 65537), (99991, 99991, 99991),
-               (2, 2, 3, 1031, 99991), (1033, 1033, 1033, 1033)]:
-        want = {}
-        for p in ps:
-            want[p] = want.get(p, 0) + 1
-        assert factorize(math.prod(ps)) == want, ps
+def test_rational_roots_with_a_product_of_two_48_bit_primes():
+    p, q = 281474976710677, 281474977710673
+    roots = [Fraction(p, 5), Fraction(3 * q)]
+    assert sorted(rational_roots(_expand(roots))) == roots
+
+
+def test_rational_roots_multiplicities_beside_a_repeated_irrational_factor():
+    # (X - 2)^4 (X + 1/3)^2 (X^2 - 2)^2
+    coeffs = _expand([2, 2, 2, 2, Fraction(-1, 3), Fraction(-1, 3)],
+                     extra=(4, 0, -4, 0, 1))
+    assert rational_roots(coeffs) == [2, 2, 2, 2, Fraction(-1, 3), Fraction(-1, 3)]
+
+
+# the six smallest primes above 2^40
+_PRIMES_ABOVE_2_40 = [2 ** 40 + d for d in (15, 27, 55, 97, 115, 141)]
+_big_parts = st.lists(st.sampled_from(_PRIMES_ABOVE_2_40), max_size=2).map(math.prod)
+_big_roots = st.builds(lambda a, sign, b: Fraction(sign * a, b),
+                       _big_parts, st.sampled_from([1, -1]), _big_parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_big_roots, min_size=1, max_size=4),
+       st.sampled_from([(1, 0, 1), (-2, 0, 1), (1, 1, 1), (-5, 0, 3),
+                        (-2 * 7 ** 9 * 3 ** 20, 0, 1)]))
+def test_rational_roots_with_primes_above_2_40(roots, quadratic):
+    coeffs = _expand(roots, extra=quadratic)
+    assert sorted(rational_roots(coeffs)) == sorted(roots)
+
+
+def test_scalar_to_fe_values_and_rejections():
+    # 3/5 * q^(3/2) * x^-2 = 9/5 * sqrt(q) / x^2 at q = 3
+    got = scalar_to_fe(Scalar.make(Fraction(3, 5), qexp2=3, xexp=-2))
+    assert got == FE(RatX.const(0), RatX(QPoly({0: Fraction(9, 5)}), QPoly({2: 1})))
+    assert scalar_to_fe(Scalar.from_xpoly({-1: 1, 2: 4})) == FE(
+        RatX(QPoly({0: 1, 3: 4}), QPoly({1: 1})))
+    assert scalar_to_fe(Scalar.zero()) == FE.const(0)
+    for bad in (Scalar.make(1, root=(1, 3)), Scalar.make(1, opaques=(("eps_a", 1),))):
+        with pytest.raises(ValueError, match="scalar outside"):
+            scalar_to_fe(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -171,3 +171,20 @@ def test_generic_rank_profile_examples():
 def test_classify_eigenvalues_with_large_prime_factors(text):
     r = parse_wd(text)
     assert classify(realize(r)) == r
+
+
+def test_classify_rejects_irrational_pair_beside_long_block_quickly():
+    # Phi = diag(Sp(unr(10/7),16), companion of X^2 - 2*7^9*3^20): the
+    # constant coefficient of its characteristic polynomial has 64,260
+    # divisors, and the pair of eigenvalues is irrational
+    m = realize(parse_wd("Sp(unr(10/7),16)"))
+    pad = [0] * 16
+    phi = [list(r) + [0, 0] for r in m.phi]
+    phi += [pad + [0, 2 * 7 ** 9 * 3 ** 20], pad + [1, 0]]
+    nn = [list(r) + [0, 0] for r in m.n] + [[0] * 18, [0] * 18]
+    mat = MatrixWD.make(phi, nn)
+    t0 = time.time()
+    with pytest.raises(DomainError):
+        classify(mat)
+    elapsed = time.time() - t0
+    assert elapsed < 0.5, f"too slow: {elapsed:.2f}s"
