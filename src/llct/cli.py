@@ -29,6 +29,8 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_UNCERTIFIED = 4
 
+ORACLE_ARITY = {"roundtrip": 1, "tensor": 2}
+
 
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
@@ -124,22 +126,28 @@ def cmd_family_check(args):
 
 
 def cmd_oracle(args):
+    reps = [parse_wd(e) for e in args.exprs]
     if args.mode == "roundtrip":
-        r = parse_wd(args.expr)
-        back = classify(realize(r))
-        _emit({"input": r.render(), "classified": back.render(),
-               "ok": back == r})
+        back = classify(realize(reps[0]))
+        _emit({"input": reps[0].render(), "classified": back.render(),
+               "ok": back == reps[0]})
         return
-    if args.mode == "tensor":
-        r1, r2 = parse_wd(args.expr), parse_wd(args.expr2)
-        structured = tensor(r1, r2)
-        mt = tensor_matrix(realize(r1), realize(r2))
-        oracle_side = classify(mt)
-        _emit({"structured": structured.render(),
-               "oracle": oracle_side.render(),
-               "agree": structured == oracle_side})
-        return
-    raise SemanticError(f"unknown oracle mode {args.mode!r}")
+    structured = tensor(*reps)
+    oracle_side = classify(tensor_matrix(*map(realize, reps)))
+    _emit({"structured": structured.render(),
+           "oracle": oracle_side.render(),
+           "agree": structured == oracle_side})
+
+
+class _OracleExprs(argparse.Action):
+    """Checks the number of expressions against the mode parsed before."""
+
+    def __call__(self, parser, ns, values, option_string=None):
+        want = ORACLE_ARITY[ns.mode]
+        if len(values) != want:
+            noun = "expression" if want == 1 else "expressions"
+            parser.error(f"oracle {ns.mode} takes {want} {noun}, got {len(values)}")
+        ns.exprs = values
 
 
 def cmd_check(args):
@@ -221,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_family_check)
 
     p = sub.add_parser("oracle", help="matrix-oracle debugging commands")
-    p.add_argument("mode", choices=["roundtrip", "tensor"])
-    p.add_argument("expr")
-    p.add_argument("expr2", nargs="?", default="")
+    p.add_argument("mode", choices=ORACLE_ARITY,
+                   help="roundtrip takes 1 expression, tensor takes 2")
+    p.add_argument("exprs", nargs="+", metavar="expr", action=_OracleExprs)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("check", help="identity checks (eps-ratio, sign, feq)")

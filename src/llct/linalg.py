@@ -200,7 +200,7 @@ class FieldQ:
 
     @staticmethod
     def is_zero(a):
-        return a == 0
+        return not a
 
     @staticmethod
     def eq(a, b):
@@ -301,22 +301,26 @@ class FieldFE:
 # ---------------------------------------------------------------------------
 
 def mat_mul(F, A, B):
-    n, m, p = len(A), len(B), len(B[0]) if B else 0
-    cols = [[B[k][j] for k in range(m)] for j in range(p)]
-    return [[_dot(F, A[i], cols[j]) for j in range(p)] for i in range(n)]
-
-
-def _dot(F, row, col):
-    out = F.zero
-    for a, b in zip(row, col):
-        if F.is_zero(a) or F.is_zero(b):
-            continue
-        out = F.add(out, F.mul(a, b))
+    """Row by row (Gustavson, ACM TOMS 4, 1978): C[i] accumulates a * B[k]
+    over the nonzero a = A[i][k] and the nonzeros of B[k] only."""
+    rows = [_support(F, row) for row in B]
+    out = [[F.zero] * (len(B[0]) if B else 0) for _ in A]
+    for c, row in zip(out, A):
+        for a, brow in zip(row, rows):
+            if brow and not F.is_zero(a):
+                for j, b in brow:
+                    c[j] = F.add(c[j], F.mul(a, b))
     return out
 
 
+def _support(F, row):
+    return [(j, e) for j, e in enumerate(row) if not F.is_zero(e)]
+
+
 def mat_vec(F, A, v):
-    return [_dot(F, row, v) for row in A]
+    nz = _support(F, v)
+    return [sum((F.mul(row[k], b) for k, b in nz if not F.is_zero(row[k])), F.zero)
+            for row in A]
 
 
 def identity(F, n):
@@ -334,20 +338,20 @@ def row_echelon(F, M):
     r = 0
     ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if not F.is_zero(rows[i][c]):
-                piv = i
-                break
+        piv = next((i for i in range(r, len(rows)) if not F.is_zero(rows[i][c])), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, e) for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not F.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        prow, inv = rows[r], F.inv(rows[r][c])
+        # only the pivot row's nonzero columns (none left of c) change
+        support = [j for j in range(c, ncols) if not F.is_zero(prow[j])]
+        for j in support:
+            prow[j] = F.mul(inv, prow[j])
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and not F.is_zero(f):
+                for j in support:
+                    row[j] = F.sub(row[j], F.mul(f, prow[j]))
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -391,9 +395,8 @@ def solve(F, M, b):
             return None  # inconsistent
         v[pc] = ech[r][m]
     # verify (cheap guard against logic errors with exact arithmetic)
-    for i in range(n):
-        if not F.is_zero(F.sub(_dot(F, M[i], v), b[i])):
-            return None
+    if any(not F.is_zero(F.sub(x, y)) for x, y in zip(mat_vec(F, M, v), b)):
+        return None
     return v
 
 

@@ -59,14 +59,11 @@ class MatrixWD:
 
     def check(self):
         F = self._field()
-        phi, nn = [list(r) for r in self.phi], [list(r) for r in self.n]
+        phi, nn = self.phi, self.n
         q = F.from_int(get_q())
-        lhs = mat_mul(F, nn, phi)
-        rhs = [[F.mul(q, e) for e in row] for row in mat_mul(F, phi, nn)]
-        for i in range(self.size):
-            for j in range(self.size):
-                if not F.eq(lhs[i][j], rhs[i][j]):
-                    raise DomainError("N*Phi = q*Phi*N fails")
+        q_phi = [[e if F.is_zero(e) else F.mul(q, e) for e in row] for row in phi]
+        if mat_mul(F, nn, phi) != mat_mul(F, q_phi, nn):
+            raise DomainError("N*Phi = q*Phi*N fails")
         power = nn  # N^(2^k) >= N^size by repeated squaring
         steps = 1
         while steps < self.size and not mat_is_zero(F, power):
@@ -95,7 +92,7 @@ def _coerce_matrix(rows):
         r = []
         for e in row:
             if isinstance(e, (int, Fraction)):
-                r.append(Fraction(e))
+                r.append(e if isinstance(e, Fraction) else Fraction(e))
             elif isinstance(e, Scalar):
                 r.append(scalar_to_fe(e))
             else:
@@ -180,8 +177,9 @@ def _eigen_setup(m: MatrixWD):
     spaces = {}
     total = 0
     for key, lam in keyed:
-        shifted = [[F.sub(phi[i][j], lam if i == j else F.zero)
-                    for j in range(m.size)] for i in range(m.size)]
+        shifted = [list(row) for row in phi]
+        for i, row in enumerate(shifted):
+            row[i] = F.sub(row[i], lam)
         basis = kernel(F, shifted)
         spaces[key] = (lam, basis)
         total += len(basis)
@@ -289,9 +287,8 @@ def tensor_matrix(m1: MatrixWD, m2: MatrixWD) -> MatrixWD:
     a_phi, b_phi, a_n, b_n = (_to_fe(m) if F is FieldFE else m
                               for m in (m1.phi, m2.phi, m1.n, m2.n))
     n1, n2 = m1.size, m2.size
-    phi = [[F.mul(a_phi[i1][j1], b_phi[i2][j2])
-            for j1 in range(n1) for j2 in range(n2)]
-           for i1 in range(n1) for i2 in range(n2)]
+    phi = [[F.zero if F.is_zero(a) or F.is_zero(b) else F.mul(a, b)
+            for a in ra for b in rb] for ra in a_phi for rb in b_phi]
     nn = [[F.add(a_n[i1][j1] if i2 == j2 else F.zero,
                  b_n[i2][j2] if i1 == j1 else F.zero)
            for j1 in range(n1) for j2 in range(n2)]

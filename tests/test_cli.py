@@ -120,3 +120,27 @@ def test_oracle_roundtrip_with_a_product_of_two_48_bit_primes():
                      "Sp(unr(281474976710677/5),1)+Sp(unr(844424933132019),1)"])
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "roundtrip", "Sp(unr(2),2)", "garbage((("],
+     "oracle roundtrip takes 1 expression, got 2"),
+    (["oracle", "tensor", "Sp(unr(2),2)"],
+     "oracle tensor takes 2 expressions, got 1"),
+    (["oracle", "tensor", "Sp(unr(2),1)", "Sp(unr(5),1)", "Sp(unr(7),1)"],
+     "oracle tensor takes 2 expressions, got 3"),
+])
+def test_oracle_modes_check_their_arity(argv, message):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        run(argv)
+    assert exc.value.code == 2
+    assert message in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_oracle_modes_with_their_arity():
+    code, out = run(["oracle", "roundtrip", "Sp(unr(2),2)"])
+    assert code == 0 and json.loads(out)["ok"] is True
+    code, out = run(["oracle", "tensor", "Sp(unr(2),2)", "Sp(unr(5),1)"])
+    assert code == 0 and json.loads(out)["agree"] is True

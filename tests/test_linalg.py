@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_unramified_rep, seeded
 from llct.dsl import parse_wd
 from llct.exact import PolyT, Scalar, det_char
-from llct.linalg import (FE, FieldFE, FieldQ, QPoly, RatX, charpoly,
-                         poly_divmod_f, poly_gcd_f, poly_quot_f, rational_roots,
-                         scalar_to_fe)
+from llct.linalg import (FE, FieldFE, FieldQ, QPoly, RatX, charpoly, identity,
+                         kernel, mat_inverse, mat_mul, mat_vec, poly_divmod_f,
+                         poly_gcd_f, poly_quot_f, rank, rational_roots,
+                         row_echelon, scalar_to_fe, solve)
 from llct.oracle import realize
 
 
@@ -319,3 +320,169 @@ def test_poly_divmod_f_division_identity():
         for div in (poly_divmod_f, poly_quot_f):
             with pytest.raises(ZeroDivisionError):
                 div(F, a, [F.zero])
+
+
+# ---------------------------------------------------------------------------
+# matrix kernels against a dense reference
+# ---------------------------------------------------------------------------
+
+def dense_mul(F, A, B):
+    p = len(B[0]) if B else 0
+    out = []
+    for row in A:
+        c = []
+        for j in range(p):
+            acc = F.zero
+            for k, a in enumerate(row):
+                acc = F.add(acc, F.mul(a, B[k][j]))
+            c.append(acc)
+        out.append(c)
+    return out
+
+
+def dense_rref(F, M):
+    """Reduced row echelon form by textbook Gauss-Jordan on every entry:
+    (nonzero rows, pivot columns)."""
+    rows = [list(r) for r in M]
+    ncols = len(rows[0]) if rows else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows))
+                    if not F.eq(rows[i][c], F.zero)), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, e) for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def dense_kernel(F, M):
+    ech, pivots = dense_rref(F, M)
+    ncols = len(M[0])
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F.zero] * ncols
+        v[fc] = F.one
+        for r, pc in enumerate(pivots):
+            v[pc] = F.neg(ech[r][fc])
+        basis.append(v)
+    return basis
+
+
+def dense_solve(F, M, b):
+    """The solution of M v = b with every free variable 0, or None."""
+    m = len(M[0])
+    ech, pivots = dense_rref(F, [list(row) + [e] for row, e in zip(M, b)])
+    if m in pivots:
+        return None
+    v = [F.zero] * m
+    for r, pc in enumerate(pivots):
+        v[pc] = ech[r][m]
+    return v
+
+
+def same(F, a, b):
+    """Equal nested lists of field elements (0 and Fraction(0) are equal)."""
+    if isinstance(a, list):
+        return (isinstance(b, list) and len(a) == len(b)
+                and all(same(F, x, y) for x, y in zip(a, b)))
+    return F.eq(a, b)
+
+
+def assert_kernels_match_dense(F, M, other, vec):
+    """mat_mul, mat_vec, row_echelon, kernel, rank, solve and mat_inverse
+    on M against the dense reference; `other` has len(M[0]) rows and `vec`
+    len(M[0]) entries."""
+    before = [list(r) for r in M]
+    image = [r[0] for r in dense_mul(F, M, [[e] for e in vec])]
+    assert same(F, mat_mul(F, M, other), dense_mul(F, M, other))
+    assert same(F, mat_vec(F, M, vec), image)
+    ech, pivots = row_echelon(F, M)
+    want_ech, want_pivots = dense_rref(F, M)
+    assert pivots == want_pivots and same(F, ech, want_ech)
+    assert same(F, kernel(F, M), dense_kernel(F, M))
+    assert rank(F, M) == len(want_pivots)
+    for b in (image, [F.one] * len(M)):
+        got, want = solve(F, M, b), dense_solve(F, M, b)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert same(F, got, want)
+    if len(M) == len(M[0]):
+        if len(want_pivots) == len(M):
+            inv = mat_inverse(F, M)
+            assert same(F, inv, [r[len(M):] for r in dense_rref(
+                F, [list(r) + [F.one if i == j else F.zero for j in range(len(M))]
+                    for i, r in enumerate(M)])[0]])
+            assert same(F, mat_mul(F, M, inv), identity(F, len(M)))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                mat_inverse(F, M)
+    assert M == before  # inputs are not modified
+
+
+@st.composite
+def sparse_matrices(draw, rows=None, cols=None):
+    """Rational matrices of density 0-40 %, with whole rows and columns
+    forced to zero, and zeros drawn as both int 0 and Fraction(0)."""
+    n = rows or draw(st.integers(1, 7))
+    m = cols or draw(st.integers(1, 7))
+    density = draw(st.floats(0, 0.4))
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, m - 1), max_size=2))
+    nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
+    zero = st.sampled_from([0, Fraction(0)])
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            live = i not in zero_rows and j not in zero_cols
+            row.append(draw(nonzero if live and draw(st.floats(0, 1)) < density
+                            else zero))
+        out.append(row)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_matrix_kernels_match_dense_reference_over_q(data):
+    M = data.draw(sparse_matrices())
+    other = data.draw(sparse_matrices(rows=len(M[0])))
+    vec = data.draw(sparse_matrices(rows=1, cols=len(M[0])))[0]
+    assert_kernels_match_dense(FieldQ, M, other, vec)
+
+
+def test_matrix_kernels_on_square_sparse_matrices_over_q():
+    # invertible permutation-like and singular square cases, fixed
+    q = Fraction
+    cases = [
+        [[0, q(2), 0], [0, 0, q(-1, 3)], [q(5), 0, 0]],
+        [[q(1), 0, 0, 0], [0, 0, 0, 0], [q(3), 0, q(2), 0], [0, q(7), 0, 0]],
+        [[0, 0], [0, 0]],
+        [[q(4)]],
+    ]
+    for M in cases:
+        n = len(M)
+        assert_kernels_match_dense(FieldQ, M, [list(r) for r in M], [q(1)] * n)
+
+
+@pytest.mark.parametrize("expr", ["Sp(unr(x),2)+Sp(unr(5/7*q^(1/2)),1)",
+                                  "Sp(unr(x^-1*q^(1/2)),3)",
+                                  "Sp(unr(x),1)+Sp(unr(q^(1/2)),1)+Sp(unr(2),1)"])
+def test_matrix_kernels_match_dense_reference_over_fe(expr):
+    rng = seeded(229)
+    m = _conjugated(realize(parse_wd(expr)), rng)
+    assert m.field == "FE"
+    phi, nn = [list(r) for r in m.phi], [list(r) for r in m.n]
+    vec = [FE.const(1)] + [FieldFE.zero] * (m.size - 1)
+    lam = phi[0][0]
+    shifted = [[FieldFE.sub(e, lam) if i == j else e for j, e in enumerate(r)]
+               for i, r in enumerate(phi)]
+    for M, other in ((phi, nn), (shifted, phi), (nn[1:], phi)):
+        assert_kernels_match_dense(FieldFE, M, other, vec)

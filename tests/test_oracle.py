@@ -188,3 +188,33 @@ def test_classify_rejects_irrational_pair_beside_long_block_quickly():
         classify(mat)
     elapsed = time.time() - t0
     assert elapsed < 0.5, f"too slow: {elapsed:.2f}s"
+
+
+def test_defining_relation_check_sees_every_entry_of_a_tensor_n():
+    # Phi is diagonal, so perturbing N at (i, j) keeps N Phi = q Phi N
+    # exactly when phi_j = q phi_i; every other single-entry change fails
+    m = tensor_matrix(realize(WDRep([sp(2, 4)])), realize(WDRep([sp(Fraction(5, 7), 4)])))
+    assert m.size == 16
+    phi = [list(r) for r in m.phi]
+    q = Fraction(3)
+    failing = 0
+    for i in range(16):
+        for j in range(16):
+            nn = [list(r) for r in m.n]
+            nn[i][j] += Fraction(1, 2)
+            if phi[j][j] == q * phi[i][i]:
+                MatrixWD.make(phi, nn)
+                continue
+            failing += 1
+            with pytest.raises(DomainError, match=r"N\*Phi = q\*Phi\*N fails"):
+                MatrixWD.make(phi, nn)
+    assert failing > 200
+
+
+@pytest.mark.parametrize("size", [2, 5, 16])
+def test_nilpotency_check_sees_far_corners(size):
+    # N = E_{0,n-1} + E_{n-1,0} commutes with Phi = 0, and N^2 is not 0
+    nn = [[0] * size for _ in range(size)]
+    nn[0][-1] = nn[-1][0] = 1
+    with pytest.raises(DomainError, match="N is not nilpotent"):
+        MatrixWD.make([[0] * size for _ in range(size)], nn)
