@@ -25,9 +25,9 @@ Four layers:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
-from .session import get_q, q_pow
+from .session import get_q, q_pow, q_is_square
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -75,7 +75,8 @@ def _mul_opaques(o1, o2):
 class Scalar:
     """unit * q^(qh/2) * (Laurent polynomial in x), in normal form.
 
-    qh is 0 or 1: even powers of q are folded into the coefficients.
+    qh is 0 or 1: even powers of q are folded into the coefficients, and
+    when q is a square, so is q^(1/2) = isqrt(q), leaving qh = 0.
     The zero scalar is the one with empty xpoly.
     """
 
@@ -99,6 +100,8 @@ class Scalar:
             return Scalar()
         c *= q_pow(qexp2 // 2)  # qexp2 = 2*(qexp2//2) + (qexp2 % 2)
         qh = qexp2 % 2
+        if qh and q_is_square():
+            c, qh = c * isqrt(get_q()), 0
         return Scalar(root, tuple(sorted(opaques)), qh, {xexp: c})
 
     @staticmethod
@@ -260,7 +263,9 @@ class Scalar:
         if self.has_opaque() or self.involves_x() or self.is_zero():
             return None
         c = abs(self.xpoly[0])
-        q = get_q()
+        q, step = get_q(), 2
+        if q_is_square():  # count powers of q^(1/2), an integer
+            q, step = isqrt(q), 1
         e = 0
         num, den = c.numerator, c.denominator
         while num % q == 0 and den == 1:
@@ -270,7 +275,7 @@ class Scalar:
             den //= q
             e -= 1
         if num == 1 and den == 1:
-            return 2 * e + self.qh
+            return step * e + self.qh
         return None
 
     # -- rendering -----------------------------------------------------------

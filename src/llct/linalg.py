@@ -5,13 +5,17 @@ Matrices live over one of two explicit fields:
   * Q            -- plain Fractions (fast path),
   * Q(x)(sqrt q) -- elements a + b*sqrt(q) with a, b rational functions of x.
 
-Everything is generic over a small Field object so the elimination,
-kernel, and characteristic-polynomial code is written once.
+Everything is generic over one field protocol, the `Field` class with
+its two instances `FieldQ` and `FieldFE`, so the elimination, kernel and
+characteristic-polynomial code is written once.  So is Euclid:
+`poly_divmod_f` / `poly_gcd_f` divide polynomials over either field, and
+`QPoly` (the x-polynomials inside Q(x)) divides with them over `FieldQ`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .exact import TRIVIAL_ROOT, Coef, DomainError, PolyT
@@ -81,26 +85,15 @@ class QPoly:
                     out[k] = w
         return QPoly(out)
 
+    def coeffs(self):
+        return [self.c.get(d, Q0) for d in range(self.degree() + 1)]
+
     def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("QPoly division by zero")
-        rem = QPoly(dict(self.c))
-        quo: dict[int, Fraction] = {}
-        db, lb = other.degree(), other.c[other.degree()]
-        while not rem.is_zero() and rem.degree() >= db:
-            dr = rem.degree()
-            f = rem.c[dr] / lb
-            quo[dr - db] = f
-            rem = rem - QPoly({dr - db: f}) * other
-        return QPoly(quo), rem
+        quo, rem = poly_divmod_f(FieldQ, self.coeffs(), other.coeffs())
+        return QPoly(dict(enumerate(quo))), QPoly(dict(enumerate(rem)))
 
     def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a * (Q1 / a.c[a.degree()])
+        return QPoly(dict(enumerate(poly_gcd_f(FieldQ, self.coeffs(), other.coeffs()))))
 
     def __repr__(self):
         return f"QPoly({self.c})"
@@ -169,46 +162,22 @@ class RatX:
 
 
 # ---------------------------------------------------------------------------
-# Field protocols
+# Field protocol
 # ---------------------------------------------------------------------------
 
-class FieldQ:
-    """Plain rational field."""
+class Field:
+    """A field for the generic routines: add, sub, mul, neg and eq are the
+    operators, so only zero, one, inv, is_zero and from_int are given."""
 
-    zero = Q0
-    one = Q1
+    add, sub, mul, neg, eq = (operator.add, operator.sub, operator.mul,
+                              operator.neg, operator.eq)
 
-    @staticmethod
-    def add(a, b):
-        return a + b
+    def __init__(self, zero, one, inv, is_zero, from_int):
+        self.zero, self.one, self.inv = zero, one, inv
+        self.is_zero, self.from_int = is_zero, from_int
 
-    @staticmethod
-    def sub(a, b):
-        return a - b
 
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        return Q1 / a
-
-    @staticmethod
-    def is_zero(a):
-        return not a
-
-    @staticmethod
-    def eq(a, b):
-        return a == b
-
-    @staticmethod
-    def from_int(n):
-        return Fraction(n)
+FieldQ = Field(Q0, Q1, lambda a: Q1 / a, operator.not_, Fraction)
 
 
 class FE:
@@ -259,41 +228,7 @@ class FE:
         return f"FE({self.a!r} + {self.b!r}*sqrt(q))"
 
 
-class FieldFE:
-    zero = FE.const(0)
-    one = FE.const(1)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        return a.inv()
-
-    @staticmethod
-    def is_zero(a):
-        return a.is_zero()
-
-    @staticmethod
-    def eq(a, b):
-        return a == b
-
-    @staticmethod
-    def from_int(n):
-        return FE.const(n)
+FieldFE = Field(FE.const(0), FE.const(1), FE.inv, FE.is_zero, FE.const)
 
 
 # ---------------------------------------------------------------------------
@@ -696,19 +631,17 @@ class EigenvalueError(ValueError):
 
 def monomial_roots_fe(coeffs: list[FE]):
     """Roots, with multiplicity, of a split polynomial over Q(x)(sqrt q),
-    all of which are required to be monomials c * sqrt(q)^d * x^k;
-    raises otherwise."""
-    while coeffs and coeffs[-1].is_zero():
-        coeffs = coeffs[:-1]
+    all of which are required to be monomials c * sqrt(q)^d * x^k; each
+    comes as ((c, d, k), root).  Raises otherwise."""
     roots = []
-    work = list(coeffs)
+    work = _trim(FieldFE, coeffs)
     while len(work) > 1:
-        lam = _find_monomial_root(work)
-        if lam is None:
+        found = _find_monomial_root(work)
+        if found is None:
             raise EigenvalueError(
                 "eigenvalue outside the monomial class c*q^(h/2)*x^k")
-        roots.append(lam)
-        work = _deflate_fe(work, lam)
+        key, lam, work = found
+        roots.append((key, lam))
     return roots
 
 
@@ -725,6 +658,8 @@ def _fe_to_slices(c: FE, den_lcm: QPoly):
 
 
 def _find_monomial_root(coeffs: list[FE]):
+    """((c, delta, k), root, quotient) for the first monomial root found,
+    or None."""
     den_lcm = QPoly.const(1)
     for c in coeffs:
         for rx in (c.a, c.b):
@@ -742,7 +677,6 @@ def _find_monomial_root(coeffs: list[FE]):
                     num = d1 - d2
                     if num % (j2 - j1) == 0:
                         ks.add(num // (j2 - j1))
-    q = get_q()
     for k in sorted(ks):
         for delta in (0, 1):
             if delta == 1 and q_is_square():
@@ -767,9 +701,11 @@ def _find_monomial_root(coeffs: list[FE]):
             for c in sorted(set(cands)):
                 if c == 0:
                     continue
+                # the remainder of the division by X - lam is the value at lam
                 lam = _make_fe_monomial(c, delta, k)
-                if _poly_eval_fe(coeffs, lam).is_zero():
-                    return lam
+                quo, rem = poly_divmod_f(FieldFE, coeffs, [-lam, FieldFE.one])
+                if not rem:
+                    return (c, delta, k), lam, quo
     return None
 
 
@@ -779,41 +715,6 @@ def _make_fe_monomial(c: Fraction, delta: int, k: int) -> FE:
     if delta == 0:
         return FE(mono)
     return FE(RatX.const(0), mono)
-
-
-def _poly_eval_fe(coeffs: list[FE], v: FE) -> FE:
-    out = FE.const(0)
-    for c in reversed(coeffs):
-        out = out * v + c
-    return out
-
-
-def _deflate_fe(coeffs: list[FE], root: FE):
-    n = len(coeffs) - 1
-    out = [FE.const(0)] * n
-    acc = coeffs[n]
-    for i in range(n - 1, -1, -1):
-        out[i] = acc
-        acc = acc * root + coeffs[i]
-    assert acc.is_zero(), "deflation by a non-root"
-    return out
-
-
-def fe_monomial_parts(v: FE):
-    """(c, delta, k) for a monomial FE, else None."""
-    if v.is_zero():
-        return None
-    nz = [(0, v.a), (1, v.b)]
-    nz = [(p, r) for p, r in nz if not r.is_zero()]
-    if len(nz) != 1:
-        return None
-    par, rx = nz[0]
-    num, den = rx.num, rx.den
-    if len(num.c) != 1 or len(den.c) != 1:
-        return None
-    (dn, cn), = num.c.items()
-    (dd, cd), = den.c.items()
-    return (cn / cd, par, dn - dd)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ from fractions import Fraction
 from .exact import Scalar, DomainError
 from .linalg import (FE, FieldFE, FieldQ, EigenvalueError, charpoly, kernel,
                      mat_mul, mat_vec, mat_is_zero, mat_inverse,
-                     monomial_roots_fe, rational_roots, row_space_basis,
+                     monomial_roots_fe, rank, rational_roots, row_space_basis,
                      subspace_dim, subspace_intersect, subspace_sum,
-                     identity, scalar_to_fe, fe_monomial_parts)
+                     identity, scalar_to_fe)
 from .session import get_q, q_pow
 from .wd import (UNR, UNRAMIFIED_LABEL, SpehBlock, WDFamily, WDRep,
                  family_jordan_at, family_jordan_generic)
@@ -71,6 +71,8 @@ class MatrixWD:
             steps *= 2
         if not mat_is_zero(F, power):
             raise DomainError("N is not nilpotent")
+        if rank(F, phi) < self.size:
+            raise DomainError("Phi is singular")
 
     def conjugate(self, p_rows) -> "MatrixWD":
         """P (Phi, N) P^{-1}."""
@@ -173,7 +175,7 @@ def _eigen_setup(m: MatrixWD):
             roots = monomial_roots_fe(cp)
         except EigenvalueError as e:
             raise DomainError(f"semisimplification not supported: {e}") from e
-        keyed = {fe_monomial_parts(lam): lam for lam in roots}.items()
+        keyed = dict(roots).items()
     spaces = {}
     total = 0
     for key, lam in keyed:
@@ -189,29 +191,14 @@ def _eigen_setup(m: MatrixWD):
     return F, phi, nn, spaces
 
 
-def _q_power_ratio(c1: Fraction, c2: Fraction):
-    """j with c1 = c2 * q^{-j}, or None."""
-    if c2 == 0:
-        return None
-    ratio = c1 / c2
-    if ratio <= 0:
-        return None
-    q = Fraction(get_q())
-    j = 0
-    while ratio < 1:
-        ratio *= q
-        j += 1
-    while ratio > 1:
-        ratio /= q
-        j -= 1
-    return j if ratio == 1 else None
-
-
 def _key_ratio(k1, k2):
+    """j with k1 = k2 * q^{-j}, or None."""
     (c1, p1, x1), (c2, p2, x2) = k1, k2
-    if p1 != p2 or x1 != x2:
+    ratio = c1 / c2
+    if p1 != p2 or x1 != x2 or ratio < 0:
         return None
-    return _q_power_ratio(c1, c2)
+    w = Scalar.make(ratio).q_weight()
+    return None if w is None or w % 2 else -w // 2
 
 
 def _key_to_scalar(key) -> Scalar:

@@ -303,10 +303,7 @@ def _dominant_nonneg(n: int, total_bound: int):
         if len(prefix) == n:
             yield tuple(prefix)
             return
-        slots = n - len(prefix)
         for v in range(min(remaining, cap), -1, -1):
-            if v * slots < 0:
-                continue
             yield from rec(prefix + [v], remaining - v, v)
 
     yield from rec([], total_bound, total_bound)

@@ -144,3 +144,18 @@ def test_oracle_modes_with_their_arity():
     assert code == 0 and json.loads(out)["ok"] is True
     code, out = run(["oracle", "tensor", "Sp(unr(2),2)", "Sp(unr(5),1)"])
     assert code == 0 and json.loads(out)["agree"] is True
+
+
+# for a square q, q^(1/2) is an integer and folds into the coefficient
+@pytest.mark.parametrize("argv, expected", [
+    (["--q", "4", "classify", "Sp(unr(q^(1/2)),1)+Sp(unr(2),1)"],
+     {"class": [{"dim": 1, "label": "1", "multiplicity": 2}],
+      "coords": {"1": ["2", "2"]}, "stratum": {"1": [1, 1]}}),
+    (["--q", "4", "oracle", "roundtrip", "Sp(unr(q^(1/2)),2)"],
+     {"classified": "Sp(unr(2),2)", "input": "Sp(unr(2),2)", "ok": True}),
+    (["--q", "9", "L", "Sp(unr(q^(1/2)),2)"], {"L_inverse": "1 - 1/3*T"}),
+])
+def test_square_q_folds_its_root(argv, expected):
+    code, out = run(argv)
+    assert code == 0
+    assert json.loads(out) == expected

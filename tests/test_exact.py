@@ -1,10 +1,12 @@
 """Exact-arithmetic layer: scalars, polynomials, rational functions, series."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from llct import session
 from llct.exact import (Coef, DomainError, NEG_INF, PolyT, RatFuncT, Scalar,
                         TruncSeriesT, det_char, poly_divides)
 
@@ -69,6 +71,18 @@ def test_q_weight():
     assert rat(-9).q_weight() == 4
     assert rat(2).q_weight() is None
     assert Scalar.x_power(1).q_weight() is None
+
+
+@pytest.mark.parametrize("q", [4, 9, 25])
+def test_square_q_folds_its_root_and_weighs_by_it(q):
+    session.set_q(q)
+    r = math.isqrt(q)
+    assert Scalar.make(1, qexp2=1) == rat(r)
+    assert (Scalar.make(Fraction(1, 2), qexp2=-3, xexp=1)
+            == Scalar.x_power(1, Fraction(1, 2 * r ** 3)))
+    assert rat(r ** 3).q_weight() == 3
+    assert rat(Fraction(-1, r)).q_weight() == -1
+    assert rat(7 * r).q_weight() is None
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,75 @@ def test_poly_divmod_f_division_identity():
 
 
 # ---------------------------------------------------------------------------
+# QPoly division, gcd and the RatX normal form against a reference
+# ---------------------------------------------------------------------------
+
+def _ref_divmod(a, b):
+    """Schoolbook long division of trimmed coefficient lists over Q."""
+    a, quo = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        shift, f = len(a) - len(b), a[-1] / b[-1]
+        quo[shift] = f
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        while a and a[-1] == 0:
+            a.pop()
+    return quo, a
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _qpoly(coeffs):
+    return QPoly(dict(enumerate(coeffs)))
+
+
+def _coeff_list(p):
+    return [p.c.get(d, Fraction(0)) for d in range(p.degree() + 1)]
+
+
+_q_coeffs = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6),
+                     max_size=5).map(lambda c: _trimmed(FieldQ, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_q_coeffs, _q_coeffs, _q_coeffs)
+def test_qpoly_divmod_gcd_and_ratx_against_reference(a, b, g):
+    if g:  # a common factor in most examples
+        a, b = (_trimmed(FieldQ, _poly_mul(FieldQ, p, g)) for p in (a, b))
+    A, B = _qpoly(a), _qpoly(b)
+    gcd = A.gcd(B)
+    assert _coeff_list(gcd) == _ref_gcd(a, b)
+    assert _coeff_list(B.gcd(A)) == _coeff_list(gcd)
+    if not a and not b:
+        assert gcd.is_zero()
+    else:
+        assert gcd.c[gcd.degree()] == 1
+        assert A.divmod(gcd)[1].is_zero() and B.divmod(gcd)[1].is_zero()
+    if not b:
+        with pytest.raises(ZeroDivisionError):
+            A.divmod(B)
+        with pytest.raises(ZeroDivisionError):
+            RatX(A, B)
+        return
+    quo, rem = A.divmod(B)
+    assert (_coeff_list(quo), _coeff_list(rem)) == _ref_divmod(a, b)
+    assert rem.degree() < B.degree()
+    assert quo * B + rem == A
+    x = RatX(A, B)
+    assert x.den.c[x.den.degree()] == 1
+    assert _ref_gcd(_coeff_list(x.num), _coeff_list(x.den)) == [1]
+    assert x.num * B == A * x.den
+    if not a:
+        assert x.num.is_zero() and x.den == QPoly.const(1)
+    if g:
+        assert RatX(A * _qpoly(g), B * _qpoly(g)) == x
+
+
+# ---------------------------------------------------------------------------
 # matrix kernels against a dense reference
 # ---------------------------------------------------------------------------
 

@@ -4,8 +4,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_unramified_rep, seeded
+from llct import session
 from llct.dsl import parse_wd
 from llct.exact import DomainError, Scalar
 from llct.oracle import (MatrixWD, classify, dual_matrix, generic_rank_profile,
@@ -218,3 +220,33 @@ def test_nilpotency_check_sees_far_corners(size):
     nn[0][-1] = nn[-1][0] = 1
     with pytest.raises(DomainError, match="N is not nilpotent"):
         MatrixWD.make([[0] * size for _ in range(size)], nn)
+
+
+# Frobenius acts invertibly, so a singular Phi is rejected where the pair is
+# made, before classify or dual_matrix would divide by zero
+@pytest.mark.parametrize("phi, nn", [
+    ([[0]], [[0]]),
+    ([[0, 0], [0, 1]], [[0, 0], [0, 0]]),
+])
+def test_singular_phi_is_a_domain_error(phi, nn):
+    with pytest.raises(DomainError, match="Phi is singular"):
+        MatrixWD.make(phi, nn)
+    for use in (classify, dual_matrix):
+        with pytest.raises(DomainError, match="Phi is singular"):
+            use(MatrixWD.make(phi, nn))
+
+
+_BLOCKS = st.tuples(st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(5, 7)]),
+                    st.integers(-3, 3), st.integers(-1, 1), st.integers(1, 2))
+
+
+# alpha = c * q^(h/2) * x^k; for a square q the q^(1/2) folds into c,
+# and eigenvalues q^(1/2) apart lie on different chains
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4, 5, 9, 25]), st.lists(_BLOCKS, min_size=1, max_size=3))
+@example(4, [(1, 0, 0, 1), (1, 1, 0, 1), (1, 2, 0, 1)])
+@example(9, [(1, 1, 0, 2), (1, 0, 0, 2)])
+def test_roundtrip_over_q_with_half_powers_and_x(q, blocks):
+    session.set_q(q)
+    r = WDRep([sp(Scalar.make(c, qexp2=h, xexp=k), m) for c, h, k, m in blocks])
+    assert classify(realize(r)) == r
