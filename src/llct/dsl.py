@@ -120,7 +120,10 @@ class Parser:
             self.advance()
             neg = True
         t = self.expect("num", "rational")
-        v = Fraction(t.text)
+        try:
+            v = Fraction(t.text)
+        except ZeroDivisionError:
+            raise ParseError("zero denominator", t.line, t.col, ("rational",)) from None
         return -v if neg else v
 
     # -- scalars -------------------------------------------------------------

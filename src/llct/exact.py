@@ -673,11 +673,8 @@ def _join_signed(parts):
 def _coef_div(a: Coef, b: Coef):
     """a / b in the coefficient ring, or None if not representable."""
     mono = b.monomial_scalar()
-    if mono is not None and not mono.is_zero():
-        try:
-            return a.mul_scalar(mono.inverse())
-        except DomainError:
-            pass
+    if mono is not None:
+        return a.mul_scalar(mono.inverse())
     if a.is_plain() and b.is_plain():
         from .linalg import coef_div_plain
         return coef_div_plain(a, b)

@@ -10,6 +10,9 @@ its two instances `FieldQ` and `FieldFE`, so the elimination, kernel and
 characteristic-polynomial code is written once.  So is Euclid:
 `poly_divmod_f` / `poly_gcd_f` divide polynomials over either field, and
 `QPoly` (the x-polynomials inside Q(x)) divides with them over `FieldQ`.
+
+Roots: `rational_roots` over Q (Loos's p-adic method), and over
+Q(x)(sqrt q) `monomial_roots_fe`, from the Newton polygon in x.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .exact import TRIVIAL_ROOT, Coef, DomainError, PolyT
+from .exact import TRIVIAL_ROOT, Coef, DomainError, PolyT, Scalar
 from .session import get_q, q_pow, q_is_square
 
 Q0 = Fraction(0)
@@ -156,6 +159,13 @@ class RatX:
 
     def const_value(self):
         return self.num.c.get(0, Q0) / self.den.c[0]
+
+    def lowest(self):
+        """(ord_x, lowest Laurent coefficient); (inf, 0) for zero."""
+        if self.is_zero():
+            return math.inf, Q0
+        dn, dd = min(self.num.c), min(self.den.c)
+        return dn - dd, self.num.c[dn] / self.den.c[dd]
 
     def __repr__(self):
         return f"RatX({self.num.c}/{self.den.c})"
@@ -625,96 +635,67 @@ def poly_quot_f(F, a, b):
     return poly_divmod_f(F, a, b)[0]
 
 
-class EigenvalueError(ValueError):
-    """Eigenstructure outside the supported monomial class."""
+_NOT_MONOMIAL = ("semisimplification not supported: eigenvalue outside "
+                 "the monomial class c*q^(h/2)*x^k")
 
 
 def monomial_roots_fe(coeffs: list[FE]):
-    """Roots, with multiplicity, of a split polynomial over Q(x)(sqrt q),
-    all of which are required to be monomials c * sqrt(q)^d * x^k; each
-    comes as ((c, d, k), root).  Raises otherwise."""
-    roots = []
+    """Roots, with multiplicity, of p = sum a_j X^j over Q(x)(sqrt q), all
+    of which must be monomials c * sqrt(q)^d * x^k; each comes as
+    ((c, d, k), root), in order of (k, d, c).  Raises DomainError otherwise.
+
+    A root of x-valuation k lies on the edge of slope -k of the lower
+    Newton polygon of the points (j, ord_x a_j), which has as many roots
+    as it is long, and its c is a root of the edge polynomial: the sum of
+    e_j (c sqrt(q)^d)^j over the edge's points, e_j = r_j + s_j sqrt q the
+    lowest Laurent coefficient of a_j (Walker, Algebraic Curves, 1950,
+    IV.3; Duval, Compositio Math. 70, 1989).
+    """
     work = _trim(FieldFE, coeffs)
-    while len(work) > 1:
-        found = _find_monomial_root(work)
-        if found is None:
-            raise EigenvalueError(
-                "eigenvalue outside the monomial class c*q^(h/2)*x^k")
-        key, lam, work = found
-        roots.append((key, lam))
-    return roots
-
-
-def _fe_to_slices(c: FE, den_lcm: QPoly):
-    """Clear denominators (multiply by den_lcm) and return {(xdeg, par): Fraction}."""
-    out = {}
-    for par, rx in ((0, c.a), (1, c.b)):
-        if rx.is_zero():
-            continue
-        num = rx.num * den_lcm.divmod(rx.den)[0]
-        for d, v in num.c.items():
-            out[(d, par)] = out.get((d, par), Q0) + v
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _find_monomial_root(coeffs: list[FE]):
-    """((c, delta, k), root, quotient) for the first monomial root found,
-    or None."""
-    den_lcm = QPoly.const(1)
-    for c in coeffs:
-        for rx in (c.a, c.b):
-            g = den_lcm.gcd(rx.den)
-            den_lcm = den_lcm * rx.den.divmod(g)[0]
-    sliced = [_fe_to_slices(c, den_lcm) for c in coeffs]
-    idx = [j for j, s in enumerate(sliced) if s]
-    ks = {0}
-    for j1 in idx:
-        for j2 in idx:
-            if j2 <= j1:
-                continue
-            for (d1, _p1) in sliced[j1]:
-                for (d2, _p2) in sliced[j2]:
-                    num = d1 - d2
-                    if num % (j2 - j1) == 0:
-                        ks.add(num // (j2 - j1))
-    for k in sorted(ks):
-        for delta in (0, 1):
-            if delta == 1 and q_is_square():
-                continue
-            groups: dict[tuple[int, int], dict[int, Fraction]] = {}
-            for j, sl in enumerate(sliced):
-                for (d, par), v in sl.items():
-                    tot = par + delta * j
-                    key = (d + k * j, tot % 2)
-                    poly = groups.setdefault(key, {})
-                    poly[j] = poly.get(j, Q0) + v * q_pow(tot // 2)
-            groups = {g: {j: v for j, v in p.items() if v != 0}
-                      for g, p in groups.items()}
-            groups = {g: p for g, p in groups.items() if p}
-            if not groups:
-                continue
-            # any nonempty group constrains c; use the smallest for speed
-            gkey = min(groups, key=lambda g: len(groups[g]))
-            poly = groups[gkey]
-            deg = max(poly)
-            cands = rational_roots([poly.get(i, Q0) for i in range(deg + 1)])
-            for c in sorted(set(cands)):
-                if c == 0:
+    low = {}
+    for j, a in enumerate(work):
+        (oa, r), (ob, s) = a.a.lowest(), a.b.lowest()
+        o = min(oa, ob)
+        if o < math.inf:
+            low[j] = (o, r if oa == o else Q0, s if ob == o else Q0)
+    if 0 not in low:
+        raise DomainError(_NOT_MONOMIAL)
+    roots, j2 = [], len(work) - 1
+    while j2:
+        # right to left: the edge ending at j2 has the least k
+        ks = {j: Fraction(low[j][0] - low[j2][0], j2 - j) for j in low if j < j2}
+        k = min(ks.values())
+        if k.denominator != 1:
+            raise DomainError(_NOT_MONOMIAL)
+        on = [j for j in ks if ks[j] == k] + [j2]
+        j1, k = on[0], k.numerator
+        for d in (0,) if q_is_square() else (0, 1):
+            if len(work) - 1 == j1:  # the edge has all its roots
+                break
+            # the edge polynomial's rational and sqrt(q) parts, divided by c^j1
+            parts = [[Q0] * (j2 - j1 + 1) for _ in range(2)]
+            for j in on:
+                _o, r, s = low[j]
+                if d * j % 2:  # (r + s sqrt q) sqrt q = s q + r sqrt q
+                    r, s = s * get_q(), r
+                t = q_pow(d * j // 2)
+                parts[0][j - j1], parts[1][j - j1] = r * t, s * t
+            main, other = parts if any(parts[0]) else parts[::-1]
+            cands = rational_roots(main)
+            for c in sorted(set(cands) - {Q0}):
+                if sum(v * c ** i for i, v in enumerate(other)):
                     continue
-                # the remainder of the division by X - lam is the value at lam
-                lam = _make_fe_monomial(c, delta, k)
-                quo, rem = poly_divmod_f(FieldFE, coeffs, [-lam, FieldFE.one])
-                if not rem:
-                    return (c, delta, k), lam, quo
-    return None
-
-
-def _make_fe_monomial(c: Fraction, delta: int, k: int) -> FE:
-    mono = RatX(QPoly({k: c}), reduce=False) if k >= 0 else RatX(
-        QPoly({0: c}), QPoly({-k: Q1}), reduce=False)
-    if delta == 0:
-        return FE(mono)
-    return FE(RatX.const(0), mono)
+                lam = scalar_to_fe(Scalar.make(c, qexp2=d, xexp=k))
+                for _ in range(cands.count(c)):
+                    quo, rem = poly_divmod_f(FieldFE, work, [-lam, FieldFE.one])
+                    if rem:
+                        break
+                    work = quo
+                    roots.append(((c, d, k), lam))
+        if len(work) - 1 > j1:
+            raise DomainError(_NOT_MONOMIAL)
+        j2 = j1
+    return roots
 
 
 # ---------------------------------------------------------------------------

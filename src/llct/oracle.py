@@ -13,7 +13,8 @@ Eigenvalues come from the characteristic polynomial of Phi (Hessenberg
 reduction, O(n^3)), whose roots are found with multiplicity: over Q by
 Loos's p-adic rational-root search (Hensel lifting and rational
 reconstruction, no integer factoring) with exact deflation in Z[X], over
-Q(x)(sqrt q) by a monomial root search built on it.
+Q(x)(sqrt q) by one pass over the edges of its Newton polygon in x, whose
+edge polynomials go to the same rational-root search.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Scalar, DomainError
-from .linalg import (FE, FieldFE, FieldQ, EigenvalueError, charpoly, kernel,
+from .linalg import (FE, FieldFE, FieldQ, charpoly, kernel,
                      mat_mul, mat_vec, mat_is_zero, mat_inverse,
                      monomial_roots_fe, rank, rational_roots, row_space_basis,
                      subspace_dim, subspace_intersect, subspace_sum,
@@ -152,7 +153,7 @@ def realize(r: WDRep) -> MatrixWD:
 
 
 def _eigen_setup(m: MatrixWD):
-    """(field, phi, n, eigendata) where eigendata maps a hashable key
+    """(field, n, eigendata) where eigendata maps a hashable key
     (c, qh, xdeg) to (raw eigenvalue, eigenspace basis).
 
     Both root finders return the roots of the characteristic polynomial
@@ -171,11 +172,7 @@ def _eigen_setup(m: MatrixWD):
                               "outside the monomial class")
         keyed = [((c, 0, 0), c) for c in dict.fromkeys(roots)]
     else:
-        try:
-            roots = monomial_roots_fe(cp)
-        except EigenvalueError as e:
-            raise DomainError(f"semisimplification not supported: {e}") from e
-        keyed = dict(roots).items()
+        keyed = dict(monomial_roots_fe(cp)).items()
     spaces = {}
     total = 0
     for key, lam in keyed:
@@ -188,7 +185,7 @@ def _eigen_setup(m: MatrixWD):
     if total != m.size:
         raise DomainError("semisimplification not supported for this "
                           "eigenstructure (Phi not diagonalizable)")
-    return F, phi, nn, spaces
+    return F, nn, spaces
 
 
 def _key_ratio(k1, k2):
@@ -209,7 +206,7 @@ def _key_to_scalar(key) -> Scalar:
 def classify(m: MatrixWD) -> WDRep:
     """Inverse of realize: recover the Speh blocks from the eigenspace
     chains of Phi and the rank profile of N along them."""
-    F, _phi, nn, spaces = _eigen_setup(m)
+    F, nn, spaces = _eigen_setup(m)
     chains: list[dict[int, tuple]] = []
     for key in spaces:
         placed = False
@@ -311,7 +308,7 @@ def monodromy_filtration(m: MatrixWD):
     Built as Deligne's convolution W_k = sum_{i-j=k} Ker N^{i+1} /\\ Im N^j;
     the symmetry of the graded pieces is asserted by explicit rank checks.
     """
-    F, _phi, nn, spaces = _eigen_setup(m)
+    F, nn, spaces = _eigen_setup(m)
     n = m.size
     powers = [identity(F, n)]
     for _ in range(n + 1):

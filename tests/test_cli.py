@@ -50,6 +50,22 @@ def test_exit_codes():
     assert run(["L", "Sp(unr(1),2)"])[0] == 0
 
 
+@pytest.mark.parametrize("argv, col", [
+    (["eps", "Sp(unr(1/0),1)"], 8),
+    (["eps", "Sp(unr(-7/0),1)"], 9),
+    (["eps", "Sp(unr(q^(1/0)),1)"], 11),
+    (["eps", "Sp(unr((x+3/0*x^2)),1)"], 11),
+    (["eps", "Sp(tau(A, w=1/0, dim=1, cond=1),1)"], 13),
+    (["family-check", "--matrix", "[[0,1/0],[0,0]]", "--at", "1"], 5),
+])
+def test_zero_denominator_is_a_parse_error(argv, col):
+    code, out = run(argv)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "parse",
+        "message": f"zero denominator at line 1, column {col} (expected rational)"}
+
+
 def test_q_flag_changes_session():
     code, out = run(["--q", "5", "L", "Sp(unr(1),2)"])
     assert code == 0

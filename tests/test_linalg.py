@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_unramified_rep, seeded
+from llct import session
 from llct.dsl import parse_wd
-from llct.exact import PolyT, Scalar, det_char
+from llct.exact import DomainError, PolyT, Scalar, det_char
 from llct.linalg import (FE, FieldFE, FieldQ, QPoly, RatX, charpoly, identity,
-                         kernel, mat_inverse, mat_mul, mat_vec, poly_divmod_f,
-                         poly_gcd_f, poly_quot_f, rank, rational_roots,
-                         row_echelon, scalar_to_fe, solve)
+                         kernel, mat_inverse, mat_mul, mat_vec,
+                         monomial_roots_fe, poly_divmod_f, poly_gcd_f,
+                         poly_quot_f, rank, rational_roots, row_echelon,
+                         scalar_to_fe, solve)
 from llct.oracle import realize
 
 
@@ -250,6 +252,42 @@ def test_scalar_to_fe_values_and_rejections():
     for bad in (Scalar.make(1, root=(1, 3)), Scalar.make(1, opaques=(("eps_a", 1),))):
         with pytest.raises(ValueError, match="scalar outside"):
             scalar_to_fe(bad)
+
+
+# ---------------------------------------------------------------------------
+# monomial roots over Q(x)(sqrt q) (monomial_roots_fe)
+# ---------------------------------------------------------------------------
+
+_monomials = st.tuples(st.sampled_from([Fraction(2), Fraction(-2), Fraction(1),
+                                        Fraction(5, 7), Fraction(-1, 3)]),
+                       st.integers(0, 3), st.integers(-2, 2))
+# factors with a root outside the monomial class, as x-polynomial
+# coefficients: X^2 - x (slope 1/2), X - (1 + x), X^2 - 7 x^2 (c = sqrt 7)
+_SPOILERS = {"slope": ({1: -1}, {}, {0: 1}),
+             "not a monomial": ({0: -1, 1: -1}, {0: 1}),
+             "irrational c": ({2: -7}, {}, {0: 1})}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 4, 9]), st.lists(_monomials, min_size=1, max_size=5),
+       st.sampled_from([None, *_SPOILERS]))
+def test_monomial_roots_fe_of_a_product_of_linear_factors(q, monos, spoiler):
+    session.set_q(q)
+    scalars = [Scalar.make(c, qexp2=h2, xexp=k) for c, h2, k in monos]
+    p = [FieldFE.one]
+    for s in scalars:
+        p = _poly_mul(FieldFE, p, [-scalar_to_fe(s), FieldFE.one])
+    if spoiler is not None:
+        factor = [scalar_to_fe(Scalar.from_xpoly(c)) for c in _SPOILERS[spoiler]]
+        with pytest.raises(DomainError, match="outside the monomial class"):
+            monomial_roots_fe(_poly_mul(FieldFE, p, factor))
+        return
+    # each root once per factor, keyed (c, d, k), in order of (k, d, c)
+    keys = [(c, s.qh, k) for s in scalars for k, c in s.xpoly.items()]
+    got = monomial_roots_fe(p)
+    assert [key for key, _ in got] == sorted(keys, key=lambda t: (t[2], t[1], t[0]))
+    for (c, d, k), lam in got:
+        assert lam == scalar_to_fe(Scalar.make(c, qexp2=d, xexp=k))
 
 
 # ---------------------------------------------------------------------------

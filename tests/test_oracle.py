@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_unramified_rep, seeded
 from llct import session
-from llct.dsl import parse_wd
+from llct.dsl import parse_matrix, parse_wd
 from llct.exact import DomainError, Scalar
 from llct.oracle import (MatrixWD, classify, dual_matrix, generic_rank_profile,
                          monodromy_filtration, realize, tensor_matrix,
@@ -144,6 +144,31 @@ def test_classify_rejects_non_monomial_eigenvalues():
     phi = [[1, 1], [1, -1]]
     with pytest.raises(DomainError):
         classify(MatrixWD.make(phi, [[0, 0], [0, 0]]))
+
+
+NOT_MONOMIAL = ("semisimplification not supported: eigenvalue outside the "
+                "monomial class c*q^(h/2)*x^k")
+
+
+@pytest.mark.parametrize("q, phi, expected", [
+    (3, "[[0,x],[1,0]]", None),                 # Newton slope 1/2
+    (3, "[[(1+x)]]", None),                     # not a monomial
+    (3, "[[x,0],[0,(x+x^2)]]", None),           # shares the leading term x
+    (3, "[[0,2*x^2],[1,0]]", None),             # edge roots c = +-sqrt(2)
+    (3, "[[2*x,0],[0,3*q^(1/2)*x]]", "Sp(unr(2*x),1)+Sp(unr(3*x*q^(1/2)),1)"),
+    (5, "[[0,5*x^2],[1,0]]", "Sp(unr(-x*q^(1/2)),1)+Sp(unr(x*q^(1/2)),1)"),
+])
+def test_classify_over_fe_accepts_monomial_eigenvalues_only(q, phi, expected):
+    session.set_q(q)
+    rows = parse_matrix(phi)
+    m = MatrixWD.make(rows, [[0] * len(rows) for _ in rows])
+    assert m.field == "FE"
+    if expected is None:
+        with pytest.raises(DomainError) as exc:
+            classify(m)
+        assert str(exc.value) == NOT_MONOMIAL
+    else:
+        assert classify(m).render() == expected
 
 
 def test_generic_rank_profile_examples():
