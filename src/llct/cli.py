@@ -40,10 +40,22 @@ def _parse_params(text: str) -> SatakeData:
     return SatakeData(tuple(parse_scalar(p.strip()) for p in text.split(",")))
 
 
-def _parse_half(text: str) -> Fraction:
-    v = Fraction(text)
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"not a rational number: {text!r}") from None
+
+
+def _rationals(text: str) -> tuple[Fraction, ...]:
+    """A comma-separated list of rationals; empty text is the empty list."""
+    return tuple(_rational(t) for t in text.split(",")) if text else ()
+
+
+def _half(v: Fraction) -> Fraction:
     if (2 * v).denominator != 1:
-        raise SemanticError(f"m must be a half-integer, got {text}")
+        raise SemanticError(f"m must be a half-integer, got {v}")
     return v
 
 
@@ -80,7 +92,7 @@ def cmd_Lss(args):
 
 def cmd_rsL(args):
     r1, r2 = parse_wd(args.expr1), parse_wd(args.expr2)
-    shift2 = int(2 * _parse_half(args.shift))
+    shift2 = int(2 * _half(args.shift))
     _emit({"RS_L_inverse": rs_l_inverse(r1, r2, shift2).render()})
 
 
@@ -94,7 +106,7 @@ def cmd_eps(args):
 
 
 def cmd_zeta(args):
-    m = _parse_half(args.m)
+    m = _half(args.m)
     d1 = _parse_params(args.params)
     if args.n1 != d1.n:
         raise SemanticError(f"--n1 {args.n1} does not match {d1.n} parameters")
@@ -121,8 +133,8 @@ def cmd_family_check(args):
         fam = WDFamily(matrix_n=tuple(tuple(r) for r in rows))
     else:
         fam = WDFamily(rep=parse_wd(args.expr))
-    res = check_interpolation(fam, Fraction(args.at))
-    _emit({"at": str(Fraction(args.at)), "result": res.value})
+    res = check_interpolation(fam, args.at)
+    _emit({"at": str(args.at), "result": res.value})
 
 
 def cmd_oracle(args):
@@ -155,9 +167,7 @@ def cmd_check(args):
         _emit({"ok": epsilon_ratio_check(parse_wd(args.expr))})
         return
     if args.what == "sign":
-        fam = WDFamily(rep=parse_wd(args.expr),
-                       bad_points=tuple(Fraction(b) for b in args.bad.split(","))
-                       if args.bad else ())
+        fam = WDFamily(rep=parse_wd(args.expr), bad_points=args.bad)
         rep = sign_constancy_check(fam)
         _emit({"ok": rep.ok,
                "signs": {str(a): s for a, s in rep.signs.items()},
@@ -197,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rsL", help="Rankin-Selberg inverse L-factor")
     p.add_argument("expr1")
     p.add_argument("expr2")
-    p.add_argument("--shift", default="0", help="substitute T -> q^{-shift} T")
+    p.add_argument("--shift", type=_rational, default="0",
+                   help="substitute T -> q^{-shift} T")
     p.set_defaults(fn=cmd_rsL)
 
     p = sub.add_parser("gamma", help="gamma factor (ratio of Lss, unit)")
@@ -213,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--params", required=True, help="comma-separated scalars")
     p.add_argument("--params2", default="", help="second Satake tuple (n2=n1)")
-    p.add_argument("--m", required=True, help="half-integer shift")
+    p.add_argument("--m", type=_rational, required=True,
+                   help="half-integer shift")
     p.add_argument("--bound", type=int, default=40)
     p.set_defaults(fn=cmd_zeta)
 
@@ -225,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family-check", help="monodromy interpolation at a point")
     p.add_argument("expr", nargs="?", default="")
     p.add_argument("--matrix", default="", help="nilpotent matrix over Q[x]")
-    p.add_argument("--at", required=True, help="rational specialization point")
+    p.add_argument("--at", type=_rational, required=True,
+                   help="rational specialization point")
     p.set_defaults(fn=cmd_family_check)
 
     p = sub.add_parser("oracle", help="matrix-oracle debugging commands")
@@ -239,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr", nargs="?", default="")
     p.add_argument("--params", default="")
     p.add_argument("--bound", type=int, default=40)
-    p.add_argument("--bad", default="", help="bad points of the family")
+    p.add_argument("--bad", type=_rationals, default="",
+                   help="bad points of the family, comma-separated")
     p.set_defaults(fn=cmd_check)
 
     return ap
@@ -251,7 +265,7 @@ def _join_negative_values(argv):
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--m", "--shift", "--at") and i + 1 < len(argv) \
+        if tok in ("--m", "--shift", "--at", "--bad") and i + 1 < len(argv) \
                 and argv[i + 1].startswith("-"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2

@@ -335,7 +335,11 @@ UnitKey = tuple  # (root, opaques, qh, xexp)
 
 
 class Coef:
-    """Finite Q-linear combination of unit monomials."""
+    """Finite Q-linear combination of unit monomials.
+
+    Products accumulate in integers (_mul_acc) and are normalised once per
+    output term, after every contribution to it: one Fraction per term of
+    a Coef, series, polynomial or table product."""
 
     __slots__ = ("terms",)
 
@@ -389,43 +393,10 @@ class Coef:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return Coef()
-            return Coef({k: v * c for k, v in self.terms.items()})
-        out: dict[UnitKey, Fraction] = {}
-        q1 = None  # q, fetched only when two q^(1/2) meet
-        for (r1, o1, h1, x1), c1 in self.terms.items():
-            for (r2, o2, h2, x2), c2 in other.terms.items():
-                c = c1 * c2
-                # keys hold canonical roots, so a trivial factor leaves
-                # the other root and the sign unchanged
-                if r2 == TRIVIAL_ROOT:
-                    root = r1
-                elif r1 == TRIVIAL_ROOT:
-                    root = r2
-                else:
-                    root, sign = _mul_roots(r1, r2)
-                    if sign < 0:
-                        c = -c
-                h = h1 + h2
-                if h >= 2:
-                    if q1 is None:
-                        q1 = q_pow(1)
-                    h -= 2
-                    c *= q1
-                o = _mul_opaques(o1, o2) if o1 and o2 else o1 or o2
-                k = (root, o, h, x1 + x2)
-                v = out.get(k)
-                if v is None:
-                    out[k] = c
-                else:
-                    v += c
-                    if v:
-                        out[k] = v
-                    else:
-                        del out[k]
-        return Coef(out)
+            other = Coef.from_rational(other)
+        acc = {}
+        _mul_acc(acc, self.terms, other.terms)
+        return _acc_coef(acc)
 
     __rmul__ = __mul__
 
@@ -495,6 +466,58 @@ class Coef:
 def _unitkey_sort(key):
     r, o, h, x = key
     return (x, h, Fraction(r[0], r[1]), o)
+
+
+def _mul_acc(acc, t1, t2, sign=1):
+    """acc += sign * t1 * t2 for the term dicts t1, t2 of two Coefs.
+
+    acc maps unit keys to unnormalised pairs [num, den], den > 0: products
+    multiply numerators and denominators, and a sum reuses an equal
+    denominator or else takes one gcd."""
+    q = None  # fetched only when two q^(1/2) meet
+    for (r1, o1, h1, x1), c1 in t1.items():
+        n1, d1 = sign * c1.numerator, c1.denominator
+        for (r2, o2, h2, x2), c2 in t2.items():
+            n = n1 * c2.numerator
+            d = d1 * c2.denominator
+            # keys hold canonical roots, so a trivial factor leaves the
+            # other root and the sign unchanged
+            if r2 == TRIVIAL_ROOT:
+                root = r1
+            elif r1 == TRIVIAL_ROOT:
+                root = r2
+            else:
+                root, s = _mul_roots(r1, r2)
+                if s < 0:
+                    n = -n
+            h = h1 + h2
+            if h >= 2:
+                if q is None:
+                    q = get_q()
+                h -= 2
+                n *= q
+            o = _mul_opaques(o1, o2) if o1 and o2 else o1 or o2
+            k = (root, o, h, x1 + x2)
+            v = acc.get(k)
+            if v is None:
+                acc[k] = [n, d]
+            elif v[1] == d:
+                v[0] += n
+            else:
+                b = v[1]
+                g = gcd(b, d)
+                v[0] = v[0] * (d // g) + n * (b // g)
+                v[1] = b // g * d
+
+
+def _acc_of(c: Coef) -> dict:
+    """An accumulator holding c, for _mul_acc to add products to."""
+    return {k: [v.numerator, v.denominator] for k, v in c.terms.items()}
+
+
+def _acc_coef(acc) -> Coef:
+    """The Coef of an accumulator: one Fraction per nonzero term."""
+    return Coef({k: Fraction(n, d) for k, (n, d) in acc.items() if n})
 
 
 # ---------------------------------------------------------------------------
@@ -595,22 +618,22 @@ class PolyT:
             elif isinstance(other, (int, Fraction)):
                 other = Coef.from_rational(other)
             return PolyT({d: c * other for d, c in self.coeffs.items()})
-        out: dict[int, Coef] = {}
+        out: dict[int, dict] = {}
         for d1, c1 in self.coeffs.items():
             for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                v = out.get(d, Coef.zero()) + c1 * c2
-                if v.is_zero():
-                    out.pop(d, None)
-                else:
-                    out[d] = v
-        return PolyT(out)
+                _mul_acc(out.setdefault(d1 + d2, {}), c1.terms, c2.terms)
+        return PolyT({d: _acc_coef(acc) for d, acc in out.items()})
 
     __rmul__ = __mul__
 
     def subst_T_scale(self, s: Scalar):
-        """T -> s*T."""
-        return PolyT({d: c.mul_scalar(s ** d) for d, c in self.coeffs.items()})
+        """T -> s*T (degrees are >= 0 by construction)."""
+        out, e, power = {}, 0, Scalar.one()
+        for d in sorted(self.coeffs):
+            while e < d:
+                power, e = power * s, e + 1
+            out[d] = self.coeffs[d].mul_scalar(power)
+        return PolyT(out)
 
     def eval_coef(self, t: Coef) -> Coef:
         """Evaluate at T = t (degrees are >= 0 by construction)."""
@@ -839,17 +862,14 @@ class TruncSeriesT:
             return self.mul_poly(other)
         low = self.low + other.low
         bound = min(self.bound + other.low, other.bound + self.low)
-        out: dict[int, Coef] = {}
-        for d1, c1 in self.coeffs.items():
+        out = {}
+        for d in range(low, bound + 1):  # one accumulator alive at a time
+            acc = {}
             for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                if d > bound:
-                    continue
-                v = out.get(d, Coef.zero()) + c1 * c2
-                if v.is_zero():
-                    out.pop(d, None)
-                else:
-                    out[d] = v
+                c1 = self.coeffs.get(d - d2)
+                if c1 is not None:
+                    _mul_acc(acc, c1.terms, c2.terms)
+            out[d] = _acc_coef(acc)
         return TruncSeriesT(low, bound, out)
 
     def mul_poly(self, p: PolyT):

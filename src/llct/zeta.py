@@ -48,7 +48,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Scalar, Coef, PolyT, TruncSeriesT, DomainError, _coef_div
+from .exact import (Scalar, Coef, PolyT, TruncSeriesT, DomainError, _coef_div,
+                    _acc_coef, _acc_of, _mul_acc)
 from .factors import l_inverse, gamma
 from .wd import WDRep, sp, tensor
 
@@ -99,9 +100,18 @@ def homogeneous_table(params, maxdeg: int) -> list[Coef]:
     factor at a time."""
     h = [Coef.one()] + [Coef.zero()] * maxdeg
     for p in params:
-        for j in range(1, maxdeg + 1):
-            h[j] = h[j] + h[j - 1].mul_scalar(p)
+        _add_geometric(h, 1, Coef.from_scalar(p))
     return h
+
+
+def _add_geometric(h: list[Coef], step: int, p: Coef):
+    """h[j] += p * h[j - step] for j = step, ..., in place: the table
+    becomes the coefficients of its series times 1/(1 - p T^step)."""
+    pt = p.terms
+    for j in range(step, len(h)):
+        acc = _acc_of(h[j])
+        _mul_acc(acc, h[j - step].terms, pt)
+        h[j] = _acc_coef(acc)
 
 
 def schur_from_table(h: list[Coef], lam, n: int, minors=None) -> Coef:
@@ -132,8 +142,8 @@ def _jt_minor(h, lam, k, cols, minors) -> Coef:
         got = minors.get(key)
         if got is not None:
             return got
-    out = Coef.zero()
-    pos = 0
+    acc = {}
+    sign = 1
     for c in range(n):
         bit = 1 << c
         if not cols & bit:
@@ -141,10 +151,9 @@ def _jt_minor(h, lam, k, cols, minors) -> Coef:
         entry = _h_entry(h, base + c)
         if not entry.is_zero():
             sub = _jt_minor(h, lam, k + 1, cols ^ bit, minors)
-            if not sub.is_zero():
-                term = entry * sub
-                out = out + term if pos % 2 == 0 else out - term
-        pos += 1
+            _mul_acc(acc, entry.terms, sub.terms, sign)
+        sign = -sign
+    out = _acc_coef(acc)
     if k:
         minors[key] = out
     return out
@@ -271,7 +280,7 @@ def zeta_gl_n_gl_n(d1: SatakeData, d2: SatakeData, m, bound: int,
     h1 = homogeneous_table(t1, bound + n - 1)
     h2 = homogeneous_table(t2, bound + n - 1)
     minors1, minors2 = {}, {}
-    sums = [Coef.zero()] * (bound + 1)
+    accs = [{} for _ in range(bound + 1)]
     for mu in _dominant_nonneg(n - 1, bound):
         lam = mu + (0,)
         s1 = schur_from_table(h1, lam, n, minors1)
@@ -281,15 +290,14 @@ def zeta_gl_n_gl_n(d1: SatakeData, d2: SatakeData, m, bound: int,
         if s2.is_zero():
             continue
         # W1 * W2 * delta^{-1} = s_lam(t1) * s_lam(t2): half-densities cancel
-        j = sum(lam)
-        sums[j] = sums[j] + s1 * s2
+        _mul_acc(accs[sum(lam)], s1.terms, s2.terms)
+    sums = [_acc_coef(acc) for acc in accs]
     # lam + (1^n) contributes e_n(t1) e_n(t2) s_lam(t1) s_lam(t2) in degree
     # |lam| + n, so the central shifts are added degree by degree
     e = Scalar.one()
     for p in (*t1, *t2):
         e = e * p
-    for j in range(n, bound + 1):
-        sums[j] = sums[j] + sums[j - n].mul_scalar(e)
+    _add_geometric(sums, n, Coef.from_scalar(e))
     series = TruncSeriesT(0, bound, dict(enumerate(sums)))
     shift2 = int(2 * m + 2 * n - 2)
     l_inv = l_inverse(tensor(d1.rep(), d2.rep())).shift(-shift2)

@@ -175,3 +175,47 @@ def test_square_q_folds_its_root(argv, expected):
     code, out = run(argv)
     assert code == 0
     assert json.loads(out) == expected
+
+
+# the CLI's own rational options are checked by argparse: usage line, exit 2
+@pytest.mark.parametrize("argv, option", [
+    (["zeta", "--n1", "2", "--n2", "1", "--params", "2,5", "--m", "1/0",
+      "--bound", "8"], "--m"),
+    (["zeta", "--n1", "2", "--n2", "1", "--params", "2,5", "--m", "abc",
+      "--bound", "8"], "--m"),
+    (["rsL", "Sp(unr(2),1)", "Sp(unr(3),1)", "--shift", "1/0"], "--shift"),
+    (["family-check", "--matrix", "[[0,x],[0,0]]", "--at", "1/0"], "--at"),
+    (["check", "sign", "Sp(unr(2),1)", "--bad", "2,1/0"], "--bad"),
+])
+def test_rational_options_are_usage_errors(argv, option):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        run(argv)
+    assert exc.value.code == 2
+    assert err.getvalue().startswith("usage: llct")
+    assert f"argument {option}: not a rational number" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["zeta", "--n1", "1", "--n2", "1", "--params", "2", "--params2", "5",
+      "--m", "-1/2", "--bound", "4"], None),
+    (["rsL", "Sp(unr(2),1)", "Sp(unr(3),1)", "--shift", "-1/2"],
+     {"RS_L_inverse": "1 - 6*q^(1/2)*T"}),
+    (["family-check", "--matrix", "[[0,x],[0,0]]", "--at", "-1/2"],
+     {"at": "-1/2", "result": "Isomorphism"}),
+    (["check", "sign", "Sp(unr(x),2)+Sp(unr(x^-1),2)", "--bad", "-1,2"], None),
+])
+def test_rational_options_accept_negative_values(argv, expected):
+    code, out = run(argv)
+    assert code == 0
+    if expected is not None:
+        assert json.loads(out) == expected
+
+
+def test_m_must_still_be_a_half_integer():
+    code, out = run(["zeta", "--n1", "2", "--n2", "1", "--params", "2,5",
+                     "--m", "1/3", "--bound", "8"])
+    assert code == 3
+    assert json.loads(out) == {"error": "domain",
+                               "message": "m must be a half-integer, got 1/3"}
