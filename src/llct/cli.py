@@ -53,6 +53,12 @@ def _rationals(text: str) -> tuple[Fraction, ...]:
     return tuple(_rational(t) for t in text.split(",")) if text else ()
 
 
+def _positive(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
 def _half(v: Fraction) -> Fraction:
     if (2 * v).denominator != 1:
         raise SemanticError(f"m must be a half-integer, got {v}")
@@ -173,11 +179,8 @@ def cmd_check(args):
                "signs": {str(a): s for a, s in rep.signs.items()},
                "skipped": len(rep.skipped)})
         return
-    if args.what == "feq":
-        d = _parse_params(args.params)
-        _emit({"ok": gl2_gamma_functional_equation_check(d, args.bound)})
-        return
-    raise SemanticError(f"unknown check {args.what!r}")
+    d = _parse_params(args.params)  # "feq", the last of the choices
+    _emit({"ok": gl2_gamma_functional_equation_check(d, args.bound)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,18 +223,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eps)
 
     p = sub.add_parser("zeta", help="truncated unramified zeta integral")
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
+    p.add_argument("--n1", type=_positive, required=True)
+    p.add_argument("--n2", type=_positive, required=True)
     p.add_argument("--params", required=True, help="comma-separated scalars")
     p.add_argument("--params2", default="", help="second Satake tuple (n2=n1)")
     p.add_argument("--m", type=_rational, required=True,
                    help="half-integer shift")
-    p.add_argument("--bound", type=int, default=40)
+    p.add_argument("--bound", type=_positive, default=40)
     p.set_defaults(fn=cmd_zeta)
 
     p = sub.add_parser("pairing", help="invariant-pairing normalization check")
     p.add_argument("--params", required=True)
-    p.add_argument("--bound", type=int, default=40)
+    p.add_argument("--bound", type=_positive, default=40)
     p.set_defaults(fn=cmd_pairing)
 
     p = sub.add_parser("family-check", help="monodromy interpolation at a point")
@@ -251,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=["eps-ratio", "sign", "feq"])
     p.add_argument("expr", nargs="?", default="")
     p.add_argument("--params", default="")
-    p.add_argument("--bound", type=int, default=40)
+    p.add_argument("--bound", type=_positive, default=40)
     p.add_argument("--bad", type=_rationals, default="",
                    help="bad points of the family, comma-separated")
     p.set_defaults(fn=cmd_check)

@@ -167,7 +167,11 @@ class Parser:
                 self.expect("(")
                 a = self.parse_int()
                 self.expect(",")
+                nt = self.peek()
                 n = self.parse_int()
+                if n <= 0:
+                    raise ParseError("root-of-unity order must be positive",
+                                     nt.line, nt.col, ("positive integer",))
                 self.expect(")")
                 return Scalar.root_of_unity(a, n)
             # opaque unit symbol

@@ -20,6 +20,13 @@ Four layers:
   PolyT        -- polynomials in the zeta variable T over Coef.
   RatFuncT     -- normalized fractions of PolyT.
   TruncSeriesT -- Laurent series in T truncated at a tracked bound.
+
+Plain coefficients (no roots of unity, no opaques) form the ring
+R = Q(sqrt q)[x, 1/x], where they divide exactly and have gcds
+(linalg.py).  The RatFuncT normal form: when num and den are plain,
+their gcd in R[T] is cancelled; then both are divided by the lowest
+x-term of den's leading T-coefficient, when that term is a unit.  Over R
+this makes num/den unique.
 """
 
 from __future__ import annotations
@@ -185,27 +192,13 @@ class Scalar:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Scalar.from_rational(other)
-        if self.is_zero() or other.is_zero():
-            return Scalar()
-        root, sign = _mul_roots(self.root, other.root)
-        qh = self.qh + other.qh
-        extra = Q1
-        if qh >= 2:
-            qh -= 2
-            extra = q_pow(1)
-        extra *= sign
-        xp: dict[int, Fraction] = {}
-        for k1, c1 in self.xpoly.items():
-            for k2, c2 in other.xpoly.items():
-                k = k1 + k2
-                v = xp.get(k, Q0) + c1 * c2 * extra
-                if v == 0:
-                    xp.pop(k, None)
-                else:
-                    xp[k] = v
+        acc = {}  # every key shares one unit: read back one x-polynomial
+        _mul_acc(acc, Coef.from_scalar(self).terms, Coef.from_scalar(other).terms)
+        xp = {k[3]: Fraction(n, d) for k, (n, d) in acc.items() if n}
         if not xp:
             return Scalar()
-        return Scalar(root, _mul_opaques(self.opaques, other.opaques), qh, xp)
+        root, opaques, qh, _x = next(iter(acc))
+        return Scalar(root, opaques, qh, xp)
 
     __rmul__ = __mul__
 
@@ -245,15 +238,7 @@ class Scalar:
 
     def specialize_x(self, a) -> "Scalar":
         """Substitute x -> a (a rational)."""
-        a = Fraction(a)
-        v = Q0
-        for k, c in self.xpoly.items():
-            if k < 0 and a == 0:
-                raise DomainError("specializing x -> 0 in a Laurent pole")
-            v += c * (a ** k if k >= 0 else Fraction(1) / (a ** (-k)))
-        if v == 0:
-            return Scalar()
-        return Scalar(self.root, self.opaques, self.qh, {0: v})
+        return Coef.from_scalar(self).specialize_x(a).as_scalar()
 
     def involves_x(self) -> bool:
         return any(k != 0 for k in self.xpoly)
@@ -392,10 +377,8 @@ class Coef:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Coef.from_rational(other)
         acc = {}
-        _mul_acc(acc, self.terms, other.terms)
+        _mul_acc(acc, self.terms, _as_coef(other).terms)
         return _acc_coef(acc)
 
     __rmul__ = __mul__
@@ -406,15 +389,9 @@ class Coef:
             return Coef({k: v * c for k, v in self.terms.items()} if c else {})
         return self * Coef.from_scalar(s)
 
-    def has_opaque(self):
-        return any(k[1] for k in self.terms)
-
-    def has_root(self):
-        return any(k[0] != TRIVIAL_ROOT for k in self.terms)
-
     def is_plain(self):
-        """No roots of unity, no opaques: lives in Q[x^{±}][q^(1/2)]."""
-        return not self.has_opaque() and not self.has_root()
+        """No roots of unity, no opaques: lives in Q(q^(1/2))[x^{±}]."""
+        return all(r == TRIVIAL_ROOT and not o for r, o, _h, _x in self.terms)
 
     def as_scalar(self):
         """Convert back to a Scalar if all terms share unit, q-half parts."""
@@ -461,6 +438,13 @@ class Coef:
 
     def __repr__(self):
         return f"Coef({self.render()})"
+
+
+def _as_coef(c) -> Coef:
+    """A rational, Scalar or Coef as a Coef."""
+    if isinstance(c, Scalar):
+        return Coef.from_scalar(c)
+    return Coef.from_rational(c) if isinstance(c, (int, Fraction)) else c
 
 
 def _unitkey_sort(key):
@@ -552,15 +536,8 @@ class PolyT:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        cs = {}
-        for d, c in (coeffs or {}).items():
-            if isinstance(c, (int, Fraction)):
-                c = Coef.from_rational(c)
-            elif isinstance(c, Scalar):
-                c = Coef.from_scalar(c)
-            if not c.is_zero():
-                cs[d] = c
-        self.coeffs = cs
+        cs = ((d, _as_coef(c)) for d, c in (coeffs or {}).items())
+        self.coeffs = {d: c for d, c in cs if not c.is_zero()}
 
     @staticmethod
     def zero():
@@ -583,6 +560,9 @@ class PolyT:
 
     def is_zero(self):
         return not self.coeffs
+
+    def is_plain(self):
+        return all(c.is_plain() for c in self.coeffs.values())
 
     def leading(self):
         if self.is_zero():
@@ -612,11 +592,8 @@ class PolyT:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (Coef, Scalar, int, Fraction)):
-            if isinstance(other, Scalar):
-                other = Coef.from_scalar(other)
-            elif isinstance(other, (int, Fraction)):
-                other = Coef.from_rational(other)
+        if not isinstance(other, PolyT):
+            other = _as_coef(other)
             return PolyT({d: c * other for d, c in self.coeffs.items()})
         out: dict[int, dict] = {}
         for d1, c1 in self.coeffs.items():
@@ -694,7 +671,8 @@ def _join_signed(parts):
 
 
 def _coef_div(a: Coef, b: Coef):
-    """a / b in the coefficient ring, or None if not representable."""
+    """a / b in the coefficient ring, or None if it is not there: a monomial
+    b is inverted, and plain a, b divide exactly in Q(sqrt q)[x, 1/x]."""
     mono = b.monomial_scalar()
     if mono is not None:
         return a.mul_scalar(mono.inverse())
@@ -705,15 +683,17 @@ def _coef_div(a: Coef, b: Coef):
 
 
 def poly_divides(a: PolyT, b: PolyT) -> bool:
-    """True iff b = a*c for some PolyT c, by exact division."""
+    """True iff b = a*c with c over the fraction field of the coefficient
+    ring: a zero pseudo-remainder for plain coefficients, otherwise exact
+    ring division, with DomainError when that is inconclusive."""
     if a.is_zero():
         raise DomainError("division by zero polynomial")
-    if b.is_zero():
-        return True
+    if a.is_plain() and b.is_plain():
+        from .linalg import poly_prem
+        return not poly_prem(b, a)
     quo, rem = b.divmod(a)
     if quo is None:
-        from .linalg import poly_divides_plain
-        return poly_divides_plain(a, b)
+        raise DomainError("poly_divides needs opaque/root-free coefficients")
     return rem.is_zero()
 
 
@@ -736,9 +716,7 @@ def det_char(matrix, size=None) -> PolyT:
     dets = {0: PolyT.one()}
     for i in range(n):
         new: dict[int, PolyT] = {}
-        for mask, val in dets.items():
-            if bin(mask).count("1") != i:
-                continue
+        for mask, val in dets.items():  # the masks of i columns
             sign = 1
             for j in range(n):
                 bit = 1 << j
@@ -750,7 +728,7 @@ def det_char(matrix, size=None) -> PolyT:
                 k = mask | bit
                 new[k] = new.get(k, PolyT.zero()) + term
                 sign = -sign
-        dets = {m: v for m, v in new.items() if bin(m).count("1") == i + 1}
+        dets = new
     return dets.get((1 << n) - 1, PolyT.one() if n == 0 else PolyT.zero())
 
 
@@ -759,8 +737,9 @@ def det_char(matrix, size=None) -> PolyT:
 # ---------------------------------------------------------------------------
 
 class RatFuncT:
-    """num/den with gcd cancelled and den canonically scaled (monic in T
-    when the leading coefficient is invertible)."""
+    """num/den in normal form: for plain coefficients the gcd in R[T] is
+    cancelled, and num, den are divided by the lowest x-term u of den's
+    leading coefficient when u is a unit (so a monomial lead becomes 1)."""
 
     __slots__ = ("num", "den")
 
@@ -806,22 +785,21 @@ class RatFuncT:
 def _ratfunc_reduce(num: PolyT, den: PolyT):
     if num.is_zero():
         return PolyT.zero(), PolyT.one()
-    from .linalg import poly_gcd_plain
-    g = poly_gcd_plain(num, den)  # None unless every coefficient is plain
-    if g is not None and g.degree() != NEG_INF and g.degree() > 0:
-        qn, rn = num.divmod(g)
-        qd, rd = den.divmod(g)
-        if qn is not None and qd is not None and rn.is_zero() and rd.is_zero():
-            num, den = qn, qd
-    lead = den.leading().monomial_scalar()
-    if lead is not None:
-        try:
-            inv = lead.inverse()
-            num = num * inv
-            den = den * inv
-        except DomainError:
-            pass
+    if num.is_plain() and den.is_plain():
+        from .linalg import poly_gcd_plain
+        g = poly_gcd_plain(num, den)
+        num, den = num.divmod(g)[0], den.divmod(g)[0]
+    u = _low_unit(den.leading())
+    if u is not None:
+        num, den = num * u, den * u
     return num, den
+
+
+def _low_unit(c: Coef):
+    """1 / (the lowest x-term of c), or None when that term is no unit."""
+    low = min(k[3] for k in c.terms)
+    u = Coef({k: v for k, v in c.terms.items() if k[3] == low})
+    return _coef_div(Coef.one(), u)
 
 
 # ---------------------------------------------------------------------------
@@ -838,15 +816,9 @@ class TruncSeriesT:
             raise ValueError("empty series window")
         self.low = low
         self.bound = bound
-        cs = {}
-        for d, c in (coeffs or {}).items():
-            if isinstance(c, (int, Fraction)):
-                c = Coef.from_rational(c)
-            elif isinstance(c, Scalar):
-                c = Coef.from_scalar(c)
-            if low <= d <= bound and not c.is_zero():
-                cs[d] = c
-        self.coeffs = cs
+        cs = ((d, _as_coef(c)) for d, c in (coeffs or {}).items()
+              if low <= d <= bound)
+        self.coeffs = {d: c for d, c in cs if not c.is_zero()}
 
     @staticmethod
     def from_poly(p: PolyT, bound: int, low: int = 0):

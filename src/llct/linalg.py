@@ -13,6 +13,11 @@ characteristic-polynomial code is written once.  So is Euclid:
 
 Roots: `rational_roots` over Q (Loos's p-adic method), and over
 Q(x)(sqrt q) `monomial_roots_fe`, from the Newton polygon in x.
+
+For exact.py, T-polynomials with plain coefficients are divided and
+reduced in their own ring R[T], R = Q(sqrt q)[x, 1/x], by pseudo-
+remainders and a primitive remainder sequence; coefficient gcds and
+quotients run the same Euclid over a third field, `FieldK` = Q(sqrt q).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .exact import TRIVIAL_ROOT, Coef, DomainError, PolyT, Scalar
+from .exact import TRIVIAL_ROOT, Coef, DomainError, PolyT, Scalar, _low_unit
 from .session import get_q, q_pow, q_is_square
 
 Q0 = Fraction(0)
@@ -240,6 +245,20 @@ class FE:
 
 FieldFE = Field(FE.const(0), FE.const(1), FE.inv, FE.is_zero, FE.const)
 
+_K1, _KQ = (TRIVIAL_ROOT, (), 0, 0), (TRIVIAL_ROOT, (), 1, 0)
+
+
+def _k_inv(c):
+    """(a + b sqrt q)^-1 = (a - b sqrt q) / (a^2 - q b^2)."""
+    a, b = c.terms.get(_K1, Q0), c.terms.get(_KQ, Q0)
+    n = a * a - get_q() * b * b
+    return Coef({k: v for k, v in ((_K1, a / n), (_KQ, -b / n)) if v})
+
+
+# K = Q(sqrt q), its elements the x-free plain Coefs: the coefficient field
+# of the x-polynomials inside T-polynomials (exact.py)
+FieldK = Field(Coef.zero(), Coef.one(), _k_inv, Coef.is_zero, Coef.from_rational)
+
 
 # ---------------------------------------------------------------------------
 # Generic matrix routines
@@ -305,8 +324,6 @@ def row_echelon(F, M):
 
 
 def rank(F, M):
-    if not M or not M[0]:
-        return 0
     return len(row_echelon(F, M)[0])
 
 
@@ -413,15 +430,10 @@ def _axpy(F, acc, f, poly):
 
 
 def row_space_basis(F, vectors):
-    if not vectors:
-        return []
-    ech, _ = row_echelon(F, vectors)
-    return ech
+    return row_echelon(F, vectors)[0]
 
 
 def subspace_dim(F, vectors):
-    if not vectors:
-        return 0
     return rank(F, vectors)
 
 
@@ -535,15 +547,17 @@ def _squarefree_int(f):
     return q
 
 
-def _prem(a, b):
-    """Pseudo-remainder of a by b in Z[X], trailing zeros trimmed."""
+def _prem(a, b, is_zero=operator.not_):
+    """Pseudo-remainder of a by b, coefficient lists over a domain (Z, or
+    R for T-polynomials), trailing zeros trimmed: lead(b)^k a - q b for the
+    least k that leaves it of lower degree than b."""
     r, n = list(a), len(b) - 1
     while len(r) > n:
         lead = r.pop()
         r = [b[-1] * c for c in r]
         for i in range(n):
             r[len(r) - n + i] -= lead * b[i]
-        while r and not r[-1]:
+        while r and is_zero(r[-1]):
             r.pop()
     return r
 
@@ -706,80 +720,84 @@ def scalar_to_fe(s) -> FE:
     """Plain Scalar (no roots of unity, no opaques) to a + b*sqrt(q)."""
     if s.root != TRIVIAL_ROOT or s.opaques:
         raise ValueError("scalar outside Q(x)(sqrt q): " + s.render())
-    return _plain_coef_to_fe(Coef.from_scalar(s))
+    shift = min(list(s.xpoly) + [0])
+    v = RatX(QPoly({k - shift: c for k, c in s.xpoly.items()}), QPoly({-shift: Q1}))
+    return FE(RatX.const(0), v) if s.qh else FE(v)
 
 
 # ---------------------------------------------------------------------------
-# Helpers used by exact.py for "plain" Coef arithmetic
+# T-polynomials with plain coefficients, over R = Q(sqrt q)[x, 1/x]
 # ---------------------------------------------------------------------------
 
-def _plain_coef_to_fe(coef) -> FE:
-    a: dict[int, Fraction] = {}
-    b: dict[int, Fraction] = {}
-    for (root, opa, qh, xe), v in coef.terms.items():
-        assert root == (0, 1) and not opa
-        (b if qh else a)[xe] = (b if qh else a).get(xe, Q0) + v
-    shift = min(list(a) + list(b) + [0])
-    den = QPoly({-shift: Q1}) if shift < 0 else QPoly.const(1)
-    pa = QPoly({k - shift: v for k, v in a.items()})
-    pb = QPoly({k - shift: v for k, v in b.items()})
-    return FE(RatX(pa, den), RatX(pb, den))
+def _xlist(c):
+    """(e, [c_0, ..., c_n]) with c = x^e (c_0 + ... + c_n x^n), the c_i in K
+    and c_0 nonzero, for a plain Coef c; (0, []) for zero."""
+    e = min((k[3] for k in c.terms), default=0)
+    out = [{} for _ in range(max((k[3] for k in c.terms), default=-1) - e + 1)]
+    for (r, o, h, x), v in c.terms.items():
+        out[x - e][(r, o, h, 0)] = v
+    return e, [Coef(t) for t in out]
 
 
-def _fe_to_plain_coef(v: FE):
-    """Back-convert when denominators are monomials x^k; else None."""
-    terms = {}
-    for par, rx in ((0, v.a), (1, v.b)):
-        if rx.is_zero():
-            continue
-        if len(rx.den.c) != 1:
-            return None
-        (dd, cd), = rx.den.c.items()
-        for d, c in rx.num.c.items():
-            key = (TRIVIAL_ROOT, (), par, d - dd)
-            terms[key] = terms.get(key, Q0) + c / cd
-    return Coef({k: v for k, v in terms.items() if v != 0})
+def _xcoef(e, cs):
+    """x^e (c_0 + c_1 x + ...) as a Coef, the c_i in K."""
+    return Coef({(r, o, h, e + i): v for i, c in enumerate(cs)
+                 for (r, o, h, _x), v in c.terms.items()})
 
 
 def coef_div_plain(a, b):
+    """a / b in R for plain Coefs, or None when b is zero or does not divide
+    a.  A unit x^e times a polynomial in x with nonzero constant term
+    divides exactly when that polynomial does, in K[x]."""
     if b.is_zero():
         return None
-    try:
-        fe = _plain_coef_to_fe(a) * _plain_coef_to_fe(b).inv()
-    except ZeroDivisionError:
-        return None
-    return _fe_to_plain_coef(fe)
+    (ea, fa), (eb, fb) = _xlist(a), _xlist(b)
+    quo, rem = poly_divmod_f(FieldK, fa, fb)
+    return None if rem else _xcoef(ea - eb, quo)
 
 
-def _polyT_to_fe_list(p):
-    if p.is_zero():
-        return []
-    deg = p.degree()
-    return [_plain_coef_to_fe(p.coeffs.get(d, Coef.zero())) for d in range(deg + 1)]
+def _tlist(p):
+    return [p.coeffs.get(d, Coef.zero()) for d in range(max(p.coeffs, default=-1) + 1)]
 
 
-def poly_divides_plain(a, b) -> bool:
-    """Divisibility over the fraction field Q(x)(sqrt q); used when the
-    coefficient-ring division is inconclusive."""
-    if not _all_plain(a, b):
-        raise DomainError("poly_divides needs opaque/root-free coefficients")
-    fb = _polyT_to_fe_list(b)
-    return not fb or not poly_divmod_f(FieldFE, fb, _polyT_to_fe_list(a))[1]
+def poly_prem(a, b):
+    """Pseudo-remainder of the PolyT a by the nonzero PolyT b, both with
+    plain coefficients, as a coefficient list; empty iff b divides a over
+    the fraction field of R."""
+    return _prem(_tlist(a), _tlist(b), Coef.is_zero)
+
+
+def _content(cs):
+    """gcd in R of the plain Coefs cs, as a monic polynomial in x over K
+    with nonzero constant term (zero when every c is zero)."""
+    g = []
+    for c in cs:
+        if len(g) != 1:
+            g = poly_gcd_f(FieldK, g, _xlist(c)[1])
+    return _xcoef(0, g)
+
+
+def _primitive(p):
+    """The coefficient list p over its content, scaled by the inverse of
+    the lowest x-term of its leading coefficient; [] stays []."""
+    if not p:
+        return p
+    c = _content(p)
+    if not c.is_one():
+        p = [coef_div_plain(a, c) for a in p]
+    u = _low_unit(p[-1])
+    return [a * u for a in p]
 
 
 def poly_gcd_plain(a, b):
-    """gcd over Q(x)(sqrt q), returned as a PolyT with cleared denominators,
-    or None when coefficients are outside the plain subring."""
-    if not _all_plain(a, b):
-        return None
-    g = poly_gcd_f(FieldFE, _polyT_to_fe_list(a), _polyT_to_fe_list(b))
-    coeffs = {}
-    for d, fe in enumerate(g):
-        coeffs[d] = _fe_to_plain_coef(fe)
-        if coeffs[d] is None:
-            return None
-    return PolyT(coeffs)
-
-
-def _all_plain(a, b):
-    return all(c.is_plain() for p in (a, b) for c in p.coeffs.values())
+    """gcd in R[T] of two PolyTs with plain coefficients, by a primitive
+    remainder sequence (Collins, JACM 14, 1967; Knuth, TAOCP 2, 4.6.1):
+    the content gcd of all coefficients times the last nonzero primitive
+    pseudo-remainder.  R is a principal ideal domain, so the gcd divides a
+    and b in R[T] (Gauss's lemma); it is unique up to a unit c x^k of R."""
+    a, b = _tlist(a), _tlist(b)
+    c = _content(a + b)
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_prem(a, b, Coef.is_zero))
+    return PolyT({d: c * v for d, v in enumerate(a)})

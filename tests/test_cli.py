@@ -219,3 +219,36 @@ def test_m_must_still_be_a_half_integer():
     assert code == 3
     assert json.loads(out) == {"error": "domain",
                                "message": "m must be a half-integer, got 1/3"}
+
+
+@pytest.mark.parametrize("expr, col", [
+    ("Sp(unr(zeta(1,0)),1)", 15),
+    ("Sp(unr(zeta(1,-2)),1)", 15),
+    ("Sp(unr(2*zeta( 3 , -1 )),1)", 20),
+])
+def test_root_of_unity_order_is_a_parse_error(expr, col):
+    code, out = run(["L", expr])
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "parse",
+        "message": f"root-of-unity order must be positive at line 1, column {col}"
+                   " (expected positive integer)"}
+
+
+# the CLI's integer options are checked by argparse: usage line, exit 2
+@pytest.mark.parametrize("argv, option", [
+    (["zeta", "--n1", "2", "--n2", "1", "--params", "2,5", "--m", "-1/2",
+      "--bound", "-1"], "--bound"),
+    (["zeta", "--n1", "0", "--n2", "1", "--params", "2,5", "--m", "-1/2"], "--n1"),
+    (["zeta", "--n1", "2", "--n2", "x", "--params", "2,5", "--m", "-1/2"], "--n2"),
+    (["pairing", "--params", "2,5", "--bound", "0"], "--bound"),
+    (["check", "feq", "--params", "2,5", "--bound", "1.5"], "--bound"),
+])
+def test_integer_options_are_usage_errors(argv, option):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        run(argv)
+    assert exc.value.code == 2
+    assert err.getvalue().startswith("usage: llct")
+    assert f"argument {option}: not a positive integer" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
