@@ -11,6 +11,8 @@ import json
 import sys
 from fractions import Fraction
 
+# Every llct module is imported here, eagerly: after `import llct.cli`,
+# perfbench's in-process workloads read them all from sys.modules.
 from . import session
 from .dsl import ParseError, SemanticError, parse_wd, parse_scalar, parse_matrix
 from .exact import DomainError

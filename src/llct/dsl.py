@@ -20,10 +20,9 @@ canonical, and parse(render(r)) == r on canonical forms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Scalar
+from .exact import Record, Scalar
 from .wd import WDRep, SpehBlock, InertialAtom, UNR, UNRAMIFIED_LABEL
 
 
@@ -46,12 +45,15 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
+    __hash__ = None
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def tokenize(src: str) -> list[Token]:

@@ -46,6 +46,30 @@ class DomainError(ValueError):
     """Operation left the supported domain (opaque unit, non-invertible...)."""
 
 
+class Record:
+    """Base of the value records: a subclass names its fields in __slots__
+    and sets them in __init__.  Records of one class are equal when their
+    fields are, and hash by them; a mutable record sets __hash__ = None.
+    Records are immutable by convention, like Scalar."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
 def _norm_root(a: int, n: int) -> tuple[tuple[int, int], int]:
     """Reduce zeta_n^a to the canonical section a'/n' in [0, 1/2) of the
     root-of-unity group, with the -1 component returned as a sign."""
@@ -690,6 +714,11 @@ def poly_divides(a: PolyT, b: PolyT) -> bool:
         raise DomainError("division by zero polynomial")
     if a.is_plain() and b.is_plain():
         from .linalg import poly_prem
+        lead = a.leading()
+        if len({k[3] for k in lead.terms}) == 1:
+            # lead is x^e (u + v sqrt q), a unit of R: a monic divisor keeps
+            # the pseudo-remainder from growing
+            a = a * _low_unit(lead)
         return not poly_prem(b, a)
     quo, rem = b.divmod(a)
     if quo is None:

@@ -9,21 +9,22 @@ semisimple unit times det(-Frobenius on r^{I_F}/Ker(N)^{I_F}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Scalar, PolyT, RatFuncT, Coef, DomainError, poly_divides
+from .exact import Scalar, PolyT, RatFuncT, Coef, DomainError, Record, poly_divides
 from .wd import (WDRep, WDFamily, dual, twist, inertia_invariants,
                  diag_entries, specialize, pure_weight, tensor)
 
 
-@dataclass(frozen=True)
-class LInverse:
+class LInverse(Record):
     """Inverse L-factor with its factored form (the Frobenius eigenvalue
     multiset on the relevant invariant space)."""
 
-    poly: PolyT
-    roots: tuple[Scalar, ...]
+    __slots__ = ("poly", "roots")
+
+    def __init__(self, poly: PolyT, roots: tuple[Scalar, ...]):
+        self.poly = poly
+        self.roots = roots
 
     def render(self) -> str:
         return self.poly.render()
@@ -39,10 +40,12 @@ class LInverse:
                                      key=Scalar.sort_key)))
 
 
-@dataclass(frozen=True)
-class EpsFactor:
-    unit: Scalar
-    cond: int
+class EpsFactor(Record):
+    __slots__ = ("unit", "cond")
+
+    def __init__(self, unit: Scalar, cond: int):
+        self.unit = unit
+        self.cond = cond
 
     def render(self):
         return {"unit": self.unit.render(), "cond": self.cond}
@@ -167,11 +170,14 @@ DEFAULT_SAMPLES = tuple(Fraction(v) for v in
                          6, -6, 7, -7, Fraction(2, 3), Fraction(-2, 3)))
 
 
-@dataclass
-class SignConstancyReport:
-    ok: bool
-    signs: dict
-    skipped: list
+class SignConstancyReport(Record):
+    __slots__ = ("ok", "signs", "skipped")
+    __hash__ = None
+
+    def __init__(self, ok: bool, signs: dict, skipped: list):
+        self.ok = ok
+        self.signs = signs
+        self.skipped = skipped
 
 
 def sign_constancy_check(fam: WDFamily, samples=DEFAULT_SAMPLES) -> SignConstancyReport:

@@ -364,7 +364,7 @@ def solve(F, M, b):
 
 def mat_inverse(F, M):
     n = len(M)
-    aug = [list(M[i]) + identity(F, n)[i] for i in range(n)]
+    aug = [list(row) + e for row, e in zip(M, identity(F, n))]
     ech, pivots = row_echelon(F, aug)
     if pivots != list(range(n)):
         raise ZeroDivisionError("singular matrix")

@@ -19,10 +19,9 @@ edge polynomials go to the same rational-root search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Scalar, DomainError
+from .exact import Scalar, DomainError, Record
 from .linalg import (FE, FieldFE, FieldQ, charpoly, kernel,
                      mat_mul, mat_vec, mat_is_zero, mat_inverse,
                      monomial_roots_fe, rank, rational_roots, row_space_basis,
@@ -33,14 +32,16 @@ from .wd import (UNR, UNRAMIFIED_LABEL, SpehBlock, WDFamily, WDRep,
                  family_jordan_at, family_jordan_generic)
 
 
-@dataclass(frozen=True)
-class MatrixWD:
+class MatrixWD(Record):
     """Explicit (Phi, N) over the tagged field ("Q" or "FE")."""
 
-    phi: tuple
-    n: tuple
-    size: int
-    field: str
+    __slots__ = ("phi", "n", "size", "field")
+
+    def __init__(self, phi: tuple, n: tuple, size: int, field: str):
+        self.phi = phi
+        self.n = n
+        self.size = size
+        self.field = field
 
     @staticmethod
     def make(phi_rows, n_rows) -> "MatrixWD":

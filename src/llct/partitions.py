@@ -7,22 +7,21 @@ i, which is how monodromy degenerations are detected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .exact import Record
 from .linalg import FieldQ, mat_mul, rank
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Decreasing tuple of positive parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
+    def __init__(self, parts: tuple[int, ...]):
+        if any(p <= 0 for p in parts):
             raise ValueError("partition parts must be positive")
-        if list(self.parts) != sorted(self.parts, reverse=True):
-            object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
+        if list(parts) != sorted(parts, reverse=True):
+            parts = tuple(sorted(parts, reverse=True))
+        self.parts = parts
 
     @staticmethod
     def of(*parts: int) -> "Partition":
@@ -56,15 +55,13 @@ class Partition:
         return f"Partition{self.parts}"
 
 
-@dataclass(frozen=True)
-class MultiPartition:
+class MultiPartition(Record):
     """Partitions indexed by atom label."""
 
-    components: tuple[tuple[str, Partition], ...]
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components",
-                           tuple(sorted(self.components, key=lambda kv: kv[0])))
+    def __init__(self, components: tuple[tuple[str, Partition], ...]):
+        self.components = tuple(sorted(components, key=lambda kv: kv[0]))
 
     @staticmethod
     def of(mapping: dict[str, Partition]) -> "MultiPartition":

@@ -12,9 +12,7 @@ product group then exhausts the relevant symmetries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exact import Scalar
+from .exact import Record, Scalar
 from .partitions import MultiPartition
 from .segments import llc_gen, supercuspidal_support
 from .wd import WDRep, InertialAtom, SpehBlock, jordan_data, tensor
@@ -28,17 +26,15 @@ def mu_f_orbit_rep(alpha: Scalar, f: int) -> Scalar:
     return min(orbit, key=Scalar.sort_key)
 
 
-@dataclass(frozen=True)
-class InertialClass:
-    atoms: tuple[tuple[InertialAtom, int], ...]  # (atom, multiplicity m_i)
+class InertialClass(Record):
+    __slots__ = ("atoms",)
 
-    def __post_init__(self):
-        labels = [a.label for a, _ in self.atoms]
+    def __init__(self, atoms: tuple[tuple[InertialAtom, int], ...]):
+        """atoms: (atom, multiplicity m_i) pairs with distinct labels."""
+        labels = [a.label for a, _ in atoms]
         if len(set(labels)) != len(labels):
             raise ValueError("inertial class atoms must have distinct labels")
-        object.__setattr__(
-            self, "atoms",
-            tuple(sorted(self.atoms, key=lambda am: am[0].label)))
+        self.atoms = tuple(sorted(atoms, key=lambda am: am[0].label))
 
     @property
     def n(self) -> int:
@@ -52,10 +48,14 @@ class InertialClass:
                 for a, m in self.atoms]
 
 
-@dataclass(frozen=True)
-class BernsteinPoint:
-    cls: InertialClass
-    coords: tuple[tuple[str, tuple[Scalar, ...]], ...]  # label -> sorted multiset
+class BernsteinPoint(Record):
+    __slots__ = ("cls", "coords")
+
+    def __init__(self, cls: InertialClass,
+                 coords: tuple[tuple[str, tuple[Scalar, ...]], ...]):
+        """coords: label -> sorted multiset."""
+        self.cls = cls
+        self.coords = coords
 
     def key(self):
         return (self.cls.key(),
@@ -73,17 +73,19 @@ class BernsteinPoint:
                            for lbl, cs in self.coords}}
 
 
-@dataclass(frozen=True)
-class ExtendedPoint:
-    cls: InertialClass
-    stratum: MultiPartition
-    coords: tuple[tuple[str, tuple[Scalar, ...]], ...]  # one coord per part
+class ExtendedPoint(Record):
+    __slots__ = ("cls", "stratum", "coords")
 
-    def __post_init__(self):
-        strata = self.stratum.as_dict()
-        for lbl, cs in self.coords:
+    def __init__(self, cls: InertialClass, stratum: MultiPartition,
+                 coords: tuple[tuple[str, tuple[Scalar, ...]], ...]):
+        """coords: label -> one coordinate per part of the stratum."""
+        strata = stratum.as_dict()
+        for lbl, cs in coords:
             if len(cs) != len(strata[lbl].parts):
                 raise ValueError("coordinate count must match stratum parts")
+        self.cls = cls
+        self.stratum = stratum
+        self.coords = coords
 
     def key(self):
         return (self.cls.key(),

@@ -11,9 +11,7 @@ only its combinatorial shadows (genericity flag, surjection criterion).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-
-from .exact import Scalar
+from .exact import Record, Scalar
 from .partitions import dominance_leq
 from .wd import WDRep, InertialAtom, SpehBlock, jordan_data, _render_block
 
@@ -24,15 +22,15 @@ class OrderingMode(enum.Enum):
     UNORDERED = "Unordered"
 
 
-@dataclass(frozen=True)
-class Segment:
-    sc_atom: InertialAtom
-    alpha: Scalar
-    m: int
+class Segment(Record):
+    __slots__ = ("sc_atom", "alpha", "m")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, sc_atom: InertialAtom, alpha: Scalar, m: int):
+        if m < 1:
             raise ValueError("segment length must be >= 1")
+        self.sc_atom = sc_atom
+        self.alpha = alpha
+        self.m = m
 
     def key(self):
         return (self.sc_atom.label, -self.m, self.alpha.sort_key())
@@ -42,12 +40,13 @@ class Segment:
         return "Delta" + inner[2:]
 
 
-@dataclass(frozen=True)
-class Multisegment:
-    segments: tuple[Segment, ...]
-    ordering_mode: OrderingMode = OrderingMode.UNORDERED
+class Multisegment(Record):
+    __slots__ = ("segments", "ordering_mode")
 
-    def __post_init__(self):
+    def __init__(self, segments: tuple[Segment, ...],
+                 ordering_mode: OrderingMode = OrderingMode.UNORDERED):
+        self.segments = segments
+        self.ordering_mode = ordering_mode
         mode = self.ordering_mode
         if mode not in (OrderingMode.GEN_QUOTIENT, OrderingMode.GEN_SUB):
             return

@@ -13,37 +13,35 @@ exact agreement with the matrix oracle; see tests.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Scalar, DomainError
+from .exact import Scalar, DomainError, Record
 from .partitions import Partition, MultiPartition, jordan_type_matrix, dominance_leq
 from .linalg import FieldQ, FieldFE, scalar_to_fe
 
 UNRAMIFIED_LABEL = "1"
 
 
-@dataclass(frozen=True)
-class InertialAtom:
+class InertialAtom(Record):
     """Invariants of an irreducible inertial type / supercuspidal atom."""
 
-    label: str
-    dim: int = 1
-    f: int = 1
-    cond: int = 0
-    weight: Fraction = Fraction(0)
-    eps_unit: Scalar = None
-    dual_label: str = None
+    __slots__ = ("label", "dim", "f", "cond", "weight", "eps_unit", "dual_label")
 
-    def __post_init__(self):
-        if self.dim <= 0 or self.f <= 0 or self.cond < 0:
+    def __init__(self, label: str, dim: int = 1, f: int = 1, cond: int = 0,
+                 weight: Fraction = Fraction(0), eps_unit: Scalar = None,
+                 dual_label: str = None):
+        if dim <= 0 or f <= 0 or cond < 0:
             raise ValueError("invalid atom invariants")
-        object.__setattr__(self, "weight", Fraction(self.weight))
-        if self.eps_unit is None:
-            unit = Scalar.one() if self.unramified else Scalar.opaque(f"eps_{self.label}")
-            object.__setattr__(self, "eps_unit", unit)
-        if self.dual_label is None:
-            object.__setattr__(self, "dual_label", self.label)
+        self.label = label
+        self.dim = dim
+        self.f = f
+        self.cond = cond
+        self.weight = Fraction(weight)
+        if eps_unit is None:
+            eps_unit = (Scalar.one() if self.unramified
+                        else Scalar.opaque(f"eps_{label}"))
+        self.eps_unit = eps_unit
+        self.dual_label = label if dual_label is None else dual_label
         if self.unramified:
             if self.dim != 1 or self.f != 1 or self.cond != 0:
                 raise ValueError("unramified atom must have dim=1, f=1, cond=0")
@@ -64,17 +62,17 @@ class InertialAtom:
 UNR = InertialAtom(UNRAMIFIED_LABEL)
 
 
-@dataclass(frozen=True)
-class SpehBlock:
-    atom: InertialAtom
-    alpha: Scalar
-    m: int
+class SpehBlock(Record):
+    __slots__ = ("atom", "alpha", "m")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, atom: InertialAtom, alpha: Scalar, m: int):
+        if m < 1:
             raise ValueError("Speh length must be >= 1")
-        if self.alpha.is_zero():
+        if alpha.is_zero():
             raise ValueError("block twist parameter must be invertible")
+        self.atom = atom
+        self.alpha = alpha
+        self.m = m
 
     @property
     def rank(self) -> int:
@@ -278,8 +276,7 @@ class InterpolationResult(enum.Enum):
     PROPER_SURJECTION = "ProperSurjection"
 
 
-@dataclass(frozen=True)
-class WDFamily:
+class WDFamily(Record):
     """One-parameter family over the x-line minus declared bad points.
 
     Structured mode (rep): monodromy is constant by construction.
@@ -287,16 +284,17 @@ class WDFamily:
     (one unramified inertial component), where monodromy may jump.
     """
 
-    rep: WDRep = None
-    matrix_n: tuple = None
-    bad_points: tuple = ()
+    __slots__ = ("rep", "matrix_n", "bad_points")
 
-    def __post_init__(self):
-        if (self.rep is None) == (self.matrix_n is None):
+    def __init__(self, rep: WDRep = None, matrix_n: tuple = None,
+                 bad_points: tuple = ()):
+        if (rep is None) == (matrix_n is None):
             raise ValueError("family needs exactly one of rep / matrix_n")
-        if self.matrix_n is not None:
-            rows = tuple(tuple(e for e in row) for row in self.matrix_n)
-            object.__setattr__(self, "matrix_n", rows)
+        if matrix_n is not None:
+            matrix_n = tuple(tuple(e for e in row) for row in matrix_n)
+        self.rep = rep
+        self.matrix_n = matrix_n
+        self.bad_points = bad_points
 
 
 def specialize(fam: WDFamily, a) -> WDRep:

@@ -45,29 +45,27 @@ that can change between calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (Scalar, Coef, PolyT, TruncSeriesT, DomainError, _coef_div,
-                    _acc_coef, _acc_of, _mul_acc)
+from .exact import (Scalar, Coef, PolyT, TruncSeriesT, DomainError, Record,
+                    _coef_div, _acc_coef, _acc_of, _mul_acc)
 from .factors import l_inverse, gamma
 from .wd import WDRep, sp, tensor
 
 
-@dataclass(frozen=True)
-class SatakeData:
+class SatakeData(Record):
     """Frobenius eigenvalues of the unramified (N = 0) representation."""
 
-    params: tuple[Scalar, ...]
+    __slots__ = ("params",)
 
-    def __post_init__(self):
+    def __init__(self, params: tuple[Scalar, ...]):
         ps = tuple(p if isinstance(p, Scalar) else Scalar.from_rational(p)
-                   for p in self.params)
+                   for p in params)
         for p in ps:
             if p.is_zero() or p.has_opaque():
                 raise ValueError("Satake parameters must be invertible and "
                                  "opaque-free")
-        object.__setattr__(self, "params", ps)
+        self.params = ps
 
     @property
     def n(self) -> int:
@@ -197,13 +195,16 @@ def _coef_div_exact(a: Coef, b: Coef) -> Coef:
     return out
 
 
-@dataclass(frozen=True)
-class ZetaResult:
-    series: TruncSeriesT
-    l_inv: PolyT
-    product: TruncSeriesT
-    certified_degree: int
-    certified: bool
+class ZetaResult(Record):
+    __slots__ = ("series", "l_inv", "product", "certified_degree", "certified")
+
+    def __init__(self, series: TruncSeriesT, l_inv: PolyT, product: TruncSeriesT,
+                 certified_degree: int, certified: bool):
+        self.series = series
+        self.l_inv = l_inv
+        self.product = product
+        self.certified_degree = certified_degree
+        self.certified = certified
 
     def product_is_one(self) -> bool:
         if not self.certified:

@@ -3,11 +3,15 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from conftest import random_unramified_rep, random_mixed_rep, seeded
+import llct
 from llct import session
 from llct.cli import main
 from llct.dsl import parse_wd
@@ -252,3 +256,24 @@ def test_integer_options_are_usage_errors(argv, option):
     assert err.getvalue().startswith("usage: llct")
     assert f"argument {option}: not a positive integer" in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+LLCT_MODULES = ["cli", "dsl", "exact", "factors", "linalg", "oracle",
+                "partitions", "points", "segments", "session", "wd", "zeta"]
+
+
+def test_cli_import_loads_every_module_and_no_dataclasses():
+    """A fresh `import llct.cli` loads all 12 llct modules (perfbench's
+    in-process workloads read them from sys.modules) and neither
+    `dataclasses` nor `inspect`, which would add to every CLI call."""
+    src = str(pathlib.Path(llct.__file__).resolve().parents[1])
+    code = ("import json, sys, llct.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith('llct.') or m in ('dataclasses', 'inspect'))))")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    loaded = json.loads(out)
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
+    assert loaded == ["llct." + m for m in LLCT_MODULES]

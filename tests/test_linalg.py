@@ -579,6 +579,37 @@ def test_matrix_kernels_on_square_sparse_matrices_over_q():
         assert_kernels_match_dense(FieldQ, M, [list(r) for r in M], [q(1)] * n)
 
 
+def test_mat_inverse_over_q_and_fe(monkeypatch):
+    """M * M^-1 = I over Q and over Q(x)(sqrt q), a singular M raises, and
+    the identity block of the augmented matrix is built once."""
+    x = scalar_to_fe(Scalar.make(1, xexp=1))
+    sq = scalar_to_fe(Scalar.make(1, qexp2=1))
+    one, zero = FieldFE.one, FieldFE.zero
+    cases = [
+        (FieldQ, [[Fraction(0), Fraction(2), Fraction(1)],
+                  [Fraction(1, 3), Fraction(0), Fraction(0)],
+                  [Fraction(5), Fraction(-1), Fraction(7)]]),
+        (FieldFE, [[x, sq, zero], [one, x, sq], [zero, one, FieldFE.add(x, sq)]]),
+    ]
+    built = []
+    monkeypatch.setattr("llct.linalg.identity",
+                        lambda F, n: built.append(n) or identity(F, n))
+    for F, M in cases:
+        before = [list(r) for r in M]
+        inv = mat_inverse(F, M)
+        assert same(F, mat_mul(F, M, inv), identity(F, len(M)))
+        assert same(F, mat_mul(F, inv, M), identity(F, len(M)))
+        assert M == before
+    assert built == [3, 3]
+    singular = [
+        (FieldQ, [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]),
+        (FieldFE, [[x, sq], [FieldFE.mul(x, x), FieldFE.mul(x, sq)]]),
+    ]
+    for F, M in singular:
+        with pytest.raises(ZeroDivisionError):
+            mat_inverse(F, M)
+
+
 @pytest.mark.parametrize("expr", ["Sp(unr(x),2)+Sp(unr(5/7*q^(1/2)),1)",
                                   "Sp(unr(x^-1*q^(1/2)),3)",
                                   "Sp(unr(x),1)+Sp(unr(q^(1/2)),1)+Sp(unr(2),1)"])

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from llct import session
 from llct.exact import (Coef, DomainError, PolyT, RatFuncT, Scalar, _coef_div,
                         poly_divides)
-from llct.linalg import FE, FieldFE, poly_divmod_f, poly_gcd_plain, scalar_to_fe
+from llct.linalg import (FE, FieldFE, poly_divmod_f, poly_gcd_plain, poly_prem,
+                         scalar_to_fe)
 
 # Size caps: T-degree <= 2 for each factor, <= 3 terms per coefficient,
 # x-exponents in [-1, 1], at most one q^(1/2), numerators in [-5, 5] and
@@ -95,6 +96,28 @@ def test_poly_divides_against_field_reference(q, sa, sc, sd, multiple):
         return
     _quo, rem = poly_divmod_f(FieldFE, fe_list(b), fe_list(a))
     assert poly_divides(a, b) == (not rem)
+
+
+# A leading coefficient x^e (u + v sqrt q) with one x-term: a unit of R,
+# by which poly_divides scales the divisor to make it monic.
+UNIT_LEAD = st.tuples(st.integers(-1, 1), st.lists(
+    st.tuples(st.integers(-5, 5), st.integers(1, 3), st.integers(0, 1)),
+    min_size=1, max_size=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(QS, POLY, UNIT_LEAD, POLY, POLY, st.booleans())
+def test_poly_divides_with_unit_lead_matches_unscaled_prem(q, sa, lead, sc, sd,
+                                                          multiple):
+    session.set_q(q)
+    xe, terms = lead
+    a = poly(sa + [[(n, d, qe, xe) for n, d, qe in terms]])
+    if a.is_zero():
+        return
+    b = poly(sc)
+    if multiple:
+        b = a * b + a * poly(sd)
+    assert poly_divides(a, b) == (not poly_prem(b, a))
 
 
 def test_coef_div_by_zero_is_none():
