@@ -8,8 +8,8 @@ Grammar (documented in docs/dsl.md):
               | 'tau(' LABEL ',' kvpairs ')' ['*' 'unr(' scalar ')']
     scalar   := sfactor ('*' sfactor)*
     sfactor  := RATIONAL | XPOW | 'q^(' HALFINT ')'
-              | 'zeta(' INT ',' INT ')' | IDENT | '(' xsum ')'
-    xsum     := xterm (('+'|'-') xterm)*
+              | 'zeta(' INT ',' INT ')' | IDENT | '(' xsum ')' | '-' sfactor
+    xsum     := ['-'] xterm (('+'|'-') xterm)*
     xterm    := [RATIONAL '*'] XPOW | RATIONAL
     XPOW     := 'x' ['^' INT]
 
@@ -92,11 +92,16 @@ class Parser:
         return t
 
     def expect(self, kind, what=None) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"unexpected {t.text or 'end of input'!r}",
-                             t.line, t.col, (what or kind,))
+        if self.peek().kind != kind:
+            self.error((what or kind,))
         return self.advance()
+
+    def expect_word(self, word) -> Token:
+        """The identifier `word`, which opens a `word(..)` construct."""
+        t = self.expect("ident", word)
+        if t.text != word:
+            raise ParseError(f"{word}(..) expected", t.line, t.col, (word,))
+        return t
 
     def error(self, expected):
         t = self.peek()
@@ -105,28 +110,34 @@ class Parser:
 
     # -- numbers -----------------------------------------------------------
 
+    def parse_sign(self) -> int:
+        """-1 after an optional '-' is consumed, else 1."""
+        if self.peek().kind != "-":
+            return 1
+        self.advance()
+        return -1
+
     def parse_int(self) -> int:
-        neg = False
-        if self.peek().kind == "-":
-            self.advance()
-            neg = True
+        sign = self.parse_sign()
         t = self.expect("num", "integer")
         if "/" in t.text:
             raise ParseError("integer expected", t.line, t.col, ("integer",))
-        v = int(t.text)
-        return -v if neg else v
+        return sign * int(t.text)
 
     def parse_rational(self) -> Fraction:
-        neg = False
-        if self.peek().kind == "-":
-            self.advance()
-            neg = True
+        sign = self.parse_sign()
         t = self.expect("num", "rational")
         try:
-            v = Fraction(t.text)
+            return sign * Fraction(t.text)
         except ZeroDivisionError:
             raise ParseError("zero denominator", t.line, t.col, ("rational",)) from None
-        return -v if neg else v
+
+    def parse_exponent(self) -> int:
+        """The optional '^' INT after x or a unit symbol; 1 when absent."""
+        if self.peek().kind != "^":
+            return 1
+        self.advance()
+        return self.parse_int()
 
     # -- scalars -------------------------------------------------------------
 
@@ -143,8 +154,7 @@ class Parser:
             self.advance()
             return -self.parse_sfactor()
         if t.kind == "num":
-            c = self.parse_rational()
-            return Scalar.from_rational(c)
+            return Scalar.from_rational(self.parse_rational())
         if t.kind == "(":
             self.advance()
             s = self.parse_xsum()
@@ -152,7 +162,8 @@ class Parser:
             return s
         if t.kind == "ident":
             if t.text == "x":
-                return self.parse_xpow()
+                self.advance()
+                return Scalar.x_power(self.parse_exponent())
             if t.text == "q":
                 self.advance()
                 self.expect("^")
@@ -178,73 +189,37 @@ class Parser:
                 return Scalar.root_of_unity(a, n)
             # opaque unit symbol
             self.advance()
-            exp = 1
-            if self.peek().kind == "^":
-                self.advance()
-                exp = self.parse_int()
-            return Scalar.opaque(t.text, exp)
+            return Scalar.opaque(t.text, self.parse_exponent())
         self.error(("rational", "x", "q^(p/2)", "zeta(a,N)", "symbol", "("))
 
-    def parse_xpow(self) -> Scalar:
-        self.expect("ident")
-        k = 1
-        if self.peek().kind == "^":
-            self.advance()
-            k = self.parse_int()
-        return Scalar.x_power(k)
-
     def parse_xsum(self) -> Scalar:
+        if self.peek().kind == "+":
+            self.error(("term",))
         xp: dict[int, Fraction] = {}
-
-        def add(k, c):
-            xp[k] = xp.get(k, Fraction(0)) + c
-            if xp[k] == 0:
-                del xp[k]
-
-        first = True
+        sign = self.parse_sign()
         while True:
-            sign = 1
-            t = self.peek()
-            if t.kind == "-":
-                self.advance()
-                sign = -1
-            elif t.kind == "+":
-                if first:
-                    self.error(("term",))
-                self.advance()
-            elif not first:
-                break
             c, k = self.parse_xterm()
-            add(k, sign * c)
-            first = False
-            if self.peek().kind not in ("+", "-"):
-                break
-        return Scalar.from_xpoly(xp)
+            xp[k] = xp.get(k, 0) + sign * c
+            t = self.peek()
+            if t.kind not in ("+", "-"):
+                return Scalar.from_xpoly(xp)
+            self.advance()
+            sign = -1 if t.kind == "-" else 1
 
     def parse_xterm(self) -> tuple[Fraction, int]:
+        """[RATIONAL '*'] XPOW, or RATIONAL alone (k = 0)."""
         t = self.peek()
+        c = Fraction(1)
         if t.kind == "num":
             c = self.parse_rational()
-            if self.peek().kind == "*":
-                self.advance()
-                xt = self.peek()
-                if not (xt.kind == "ident" and xt.text == "x"):
-                    self.error(("x",))
-                self.advance()
-                k = 1
-                if self.peek().kind == "^":
-                    self.advance()
-                    k = self.parse_int()
-                return c, k
-            return c, 0
-        if t.kind == "ident" and t.text == "x":
+            if self.peek().kind != "*":
+                return c, 0
             self.advance()
-            k = 1
-            if self.peek().kind == "^":
-                self.advance()
-                k = self.parse_int()
-            return Fraction(1), k
-        self.error(("rational", "x"))
+        xt = self.peek()
+        if not (xt.kind == "ident" and xt.text == "x"):
+            self.error(("x",) if t.kind == "num" else ("rational", "x"))
+        self.advance()
+        return c, self.parse_exponent()
 
     # -- atoms and blocks ----------------------------------------------------
 
@@ -252,10 +227,7 @@ class Parser:
         t = self.peek()
         if t.kind == "ident" and t.text == "unr":
             self.advance()
-            self.expect("(")
-            alpha = self.parse_scalar()
-            self.expect(")")
-            return UNR, alpha
+            return UNR, self.parse_paren_scalar()
         if t.kind == "ident" and t.text == "tau":
             self.advance()
             self.expect("(")
@@ -282,12 +254,8 @@ class Parser:
             alpha = Scalar.one()
             if self.peek().kind == "*":
                 self.advance()
-                nxt = self.expect("ident", "unr")
-                if nxt.text != "unr":
-                    raise ParseError("unr(..) expected", nxt.line, nxt.col, ("unr",))
-                self.expect("(")
-                alpha = self.parse_scalar()
-                self.expect(")")
+                self.expect_word("unr")
+                alpha = self.parse_paren_scalar()
             if label == UNRAMIFIED_LABEL:
                 raise SemanticError("label '1' is reserved for the unramified atom")
             atom = InertialAtom(label,
@@ -300,10 +268,14 @@ class Parser:
             return atom, alpha
         self.error(("unr", "tau"))
 
+    def parse_paren_scalar(self) -> Scalar:
+        self.expect("(")
+        s = self.parse_scalar()
+        self.expect(")")
+        return s
+
     def parse_term(self) -> SpehBlock:
-        t = self.expect("ident", "Sp")
-        if t.text != "Sp":
-            raise ParseError("Sp(..) expected", t.line, t.col, ("Sp",))
+        self.expect_word("Sp")
         self.expect("(")
         atom, alpha = self.parse_atomexpr()
         self.expect(",")
@@ -330,10 +302,10 @@ class Parser:
         rows = []
         while True:
             self.expect("[")
-            row = [self.parse_signed_scalar()]
+            row = [self.parse_scalar()]
             while self.peek().kind == ",":
                 self.advance()
-                row.append(self.parse_signed_scalar())
+                row.append(self.parse_scalar())
             self.expect("]")
             rows.append(row)
             if self.peek().kind == ",":
@@ -344,12 +316,6 @@ class Parser:
         if any(len(row) != len(rows) for row in rows):
             raise SemanticError("matrix must be square")
         return rows
-
-    def parse_signed_scalar(self) -> Scalar:
-        if self.peek().kind == "-":
-            self.advance()
-            return -self.parse_scalar()
-        return self.parse_scalar()
 
     def finish(self):
         t = self.peek()
@@ -366,7 +332,7 @@ def parse_wd(src: str) -> WDRep:
 
 def parse_scalar(src: str) -> Scalar:
     p = Parser(src)
-    s = p.parse_signed_scalar()
+    s = p.parse_scalar()
     p.finish()
     return s
 

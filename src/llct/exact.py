@@ -532,26 +532,7 @@ def _acc_coef(acc) -> Coef:
 # PolyT
 # ---------------------------------------------------------------------------
 
-class _NegInf:
-    """Degree of the zero polynomial; below every integer."""
-
-    def __lt__(self, other):
-        return True
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _NegInf)
-
-    def __repr__(self):
-        return "-inf"
-
-
-NEG_INF = _NegInf()
+NEG_INF = float("-inf")  # degree of the zero polynomial
 
 
 class PolyT:
@@ -726,13 +707,13 @@ def poly_divides(a: PolyT, b: PolyT) -> bool:
     return rem.is_zero()
 
 
-def det_char(matrix, size=None) -> PolyT:
+def det_char(matrix) -> PolyT:
     """det(1 - M*T) for a square matrix of Scalars, by subset expansion.
 
     Division-free, so it works over the full coefficient ring; opaque
     units are rejected since they preclude later evaluation.
     """
-    n = len(matrix) if size is None else size
+    n = len(matrix)
     for row in matrix:
         for s in row:
             if s.has_opaque():
@@ -781,7 +762,7 @@ class RatFuncT:
         self.den = den
 
     @staticmethod
-    def from_root_lists(num_roots, den_roots, unit=None):
+    def from_root_lists(num_roots, den_roots):
         """prod(1-aT)/prod(1-bT) with common roots cancelled exactly."""
         nr = list(num_roots)
         dr = list(den_roots)
@@ -791,11 +772,7 @@ class RatFuncT:
                 nr.remove(b)
             else:
                 out_d.append(b)
-        num = PolyT.from_roots(nr)
-        den = PolyT.from_roots(out_d)
-        if unit is not None:
-            num = num * unit
-        return RatFuncT(num, den, reduce=False)
+        return RatFuncT(PolyT.from_roots(nr), PolyT.from_roots(out_d), reduce=False)
 
     def __eq__(self, other):
         return (isinstance(other, RatFuncT)
@@ -850,8 +827,8 @@ class TruncSeriesT:
         self.coeffs = {d: c for d, c in cs if not c.is_zero()}
 
     @staticmethod
-    def from_poly(p: PolyT, bound: int, low: int = 0):
-        return TruncSeriesT(low, bound, dict(p.coeffs))
+    def from_poly(p: PolyT, bound: int):
+        return TruncSeriesT(0, bound, dict(p.coeffs))
 
     def coeff(self, d: int) -> Coef:
         if d < self.low or d > self.bound:
@@ -882,9 +859,8 @@ class TruncSeriesT:
         ps = TruncSeriesT(v, self.bound - self.low + p.degree(), dict(p.coeffs))
         return self * ps
 
-    def eq_window(self, other, lo=None, hi=None):
-        lo = max(self.low, other.low) if lo is None else lo
-        hi = min(self.bound, other.bound) if hi is None else hi
+    def eq_window(self, other):
+        lo, hi = max(self.low, other.low), min(self.bound, other.bound)
         return all(self.coeff(d) == other.coeff(d) for d in range(lo, hi + 1))
 
     def specialize_x(self, a):

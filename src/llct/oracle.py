@@ -6,8 +6,15 @@ oracle for every structured rule (tensor, dual, twist, filtration,
 purity): it never looks at block data, only at the matrices.
 
 Matrices live over Q when possible (fast path) and over Q(x)(sqrt q)
-otherwise.  Eigenvalues of Phi must be monomials c * q^(h/2) * x^k;
-general characteristic-polynomial factorization is out of scope.
+otherwise.  One rule lifts the entries of every matrix that make,
+conjugate and tensor_matrix see, jointly: if each entry is rational (an
+int, a Fraction, a rational Scalar or a constant FE) the field is Q and
+every entry becomes a Fraction; otherwise it is Q(x)(sqrt q), where
+Fractions become constant FE and Scalars go through scalar_to_fe, which
+rejects roots of unity and opaque units.  realize picks its field per
+representation instead: Q(x)(sqrt q) once some alpha involves q^(1/2) or
+x.  Eigenvalues of Phi must be monomials c * q^(h/2) * x^k; general
+characteristic-polynomial factorization is out of scope.
 
 Eigenvalues come from the characteristic polynomial of Phi (Hessenberg
 reduction, O(n^3)), whose roots are found with multiplicity: over Q by
@@ -46,18 +53,13 @@ class MatrixWD(Record):
     @staticmethod
     def make(phi_rows, n_rows) -> "MatrixWD":
         """Entries may be Fractions, ints, FE, or plain Scalars."""
-        phi = _coerce_matrix(phi_rows)
-        nn = _coerce_matrix(n_rows)
-        if _is_rational(phi) and _is_rational(nn):
-            phi, nn, tag = _to_fractions(phi), _to_fractions(nn), "Q"
-        else:
-            phi, nn, tag = _to_fe(phi), _to_fe(nn), "FE"
+        tag, (phi, nn) = _lift(phi_rows, n_rows)
         m = MatrixWD(tuple(map(tuple, phi)), tuple(map(tuple, nn)), len(phi), tag)
         m.check()
         return m
 
     def _field(self):
-        return FieldQ if self.field == "Q" else FieldFE
+        return _FIELDS[self.field]
 
     def check(self):
         F = self._field()
@@ -78,52 +80,41 @@ class MatrixWD(Record):
 
     def conjugate(self, p_rows) -> "MatrixWD":
         """P (Phi, N) P^{-1}."""
-        p = _coerce_matrix(p_rows)
-        if self.field == "Q" and _is_rational(p):
-            F, p = FieldQ, _to_fractions(p)
-            phi, nn = [list(r) for r in self.phi], [list(r) for r in self.n]
-        else:
-            F, p = FieldFE, _to_fe(p)
-            phi, nn = _to_fe([list(r) for r in self.phi]), _to_fe([list(r) for r in self.n])
+        tag, (phi, nn, p) = _lift(self.phi, self.n, p_rows)
+        F = _FIELDS[tag]
         pinv = mat_inverse(F, p)
         return MatrixWD.make(mat_mul(F, mat_mul(F, p, phi), pinv),
                              mat_mul(F, mat_mul(F, p, nn), pinv))
 
 
-def _coerce_matrix(rows):
-    out = []
-    for row in rows:
-        r = []
-        for e in row:
-            if isinstance(e, (int, Fraction)):
-                r.append(e if isinstance(e, Fraction) else Fraction(e))
-            elif isinstance(e, Scalar):
-                r.append(scalar_to_fe(e))
-            else:
-                r.append(e)
-        out.append(r)
-    return out
+_FIELDS = {"Q": FieldQ, "FE": FieldFE}
 
 
-def _is_rational(rows):
-    for row in rows:
-        for e in row:
-            if isinstance(e, Fraction):
-                continue
-            if isinstance(e, FE) and e.b.is_zero() and e.a.is_const():
-                continue
-            return False
-    return True
+def _lift(*matrices):
+    """(tag, matrices as lists of rows) with every entry in the one field
+    that holds them all; the rule is in the module docstring."""
+    if all(isinstance(e, (int, Fraction))
+           or isinstance(e, Scalar) and e.is_rational()
+           or isinstance(e, FE) and e.b.is_zero() and e.a.is_const()
+           for m in matrices for row in m for e in row):
+        tag, entry = "Q", _q_entry
+    else:
+        tag, entry = "FE", _fe_entry
+    return tag, [[[entry(e) for e in row] for row in m] for m in matrices]
 
 
-def _to_fractions(rows):
-    return [[e if isinstance(e, Fraction) else e.a.const_value() for e in row]
-            for row in rows]
+def _q_entry(e) -> Fraction:
+    if isinstance(e, Fraction):
+        return e
+    if isinstance(e, Scalar):
+        return e.rational_value()
+    return e.a.const_value() if isinstance(e, FE) else Fraction(e)
 
 
-def _to_fe(rows):
-    return [[FE.const(e) if isinstance(e, Fraction) else e for e in row]
-            for row in rows]
+def _fe_entry(e):
+    if isinstance(e, (int, Fraction)):
+        return FE.const(e)
+    return scalar_to_fe(e) if isinstance(e, Scalar) else e
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +259,8 @@ def _classify_chain(F, nmat, chain):
 def tensor_matrix(m1: MatrixWD, m2: MatrixWD) -> MatrixWD:
     """Kronecker realization of the tensor product:
     Phi = Phi1 (x) Phi2, N = N1 (x) 1 + 1 (x) N2."""
-    F = FieldFE if "FE" in (m1.field, m2.field) else FieldQ
-    a_phi, b_phi, a_n, b_n = (_to_fe(m) if F is FieldFE else m
-                              for m in (m1.phi, m2.phi, m1.n, m2.n))
+    tag, (a_phi, b_phi, a_n, b_n) = _lift(m1.phi, m2.phi, m1.n, m2.n)
+    F = _FIELDS[tag]
     n1, n2 = m1.size, m2.size
     phi = [[F.zero if F.is_zero(a) or F.is_zero(b) else F.mul(a, b)
             for a in ra for b in rb] for ra in a_phi for rb in b_phi]

@@ -228,8 +228,7 @@ class UncertifiedTruncation(ValueError):
 
 def _finish(series: TruncSeriesT, l_inv_poly: PolyT, strict: bool) -> ZetaResult:
     product = series.mul_poly(l_inv_poly)
-    deg = l_inv_poly.degree()
-    deg = deg if isinstance(deg, int) else 0
+    deg = max(l_inv_poly.degree(), 0)
     certified = product.bound > deg and all(
         product.coeff(j).is_zero() for j in range(deg + 1, product.bound + 1))
     if strict and not certified:

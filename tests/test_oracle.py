@@ -10,6 +10,7 @@ from conftest import random_unramified_rep, seeded
 from llct import session
 from llct.dsl import parse_matrix, parse_wd
 from llct.exact import DomainError, Scalar
+from llct.linalg import FE, scalar_to_fe
 from llct.oracle import (MatrixWD, classify, dual_matrix, generic_rank_profile,
                          monodromy_filtration, realize, tensor_matrix,
                          twist_matrix)
@@ -275,3 +276,59 @@ def test_roundtrip_over_q_with_half_powers_and_x(q, blocks):
     session.set_q(q)
     r = WDRep([sp(Scalar.make(c, qexp2=h, xexp=k), m) for c, h, k, m in blocks])
     assert classify(realize(r)) == r
+
+
+# One lift for every matrix entry: Q when all entries are rational (ints,
+# Fractions, rational Scalars, constant FE), with Fraction entries; else
+# Q(x)(sqrt q), with rational entries as constant FE.
+_X, _SQ = Scalar.x_power(1), Scalar.qpow(1)
+
+
+def _zero(n):
+    return [[0] * n for _ in range(n)]
+
+
+@pytest.mark.parametrize("entry", [2, Fraction(2), rat(2), FE.const(Fraction(2))])
+def test_lift_picks_q_for_rational_entries(entry):
+    m = MatrixWD.make([[entry, 0], [0, Fraction(5, 7)]], _zero(2))
+    assert m.field == "Q"
+    assert all(type(e) is Fraction for row in m.phi + m.n for e in row)
+    assert m.phi == ((2, 0), (0, Fraction(5, 7)))
+
+
+@pytest.mark.parametrize("entry", [_X, _SQ, Scalar.make(3, qexp2=1, xexp=-2)])
+def test_lift_one_x_or_root_q_entry_gives_fe(entry):
+    m = MatrixWD.make([[entry, 0], [0, rat(5)]], _zero(2))
+    assert m.field == "FE"
+    assert all(type(e) is FE for row in m.phi + m.n for e in row)
+    assert m.phi[1][1] == FE.const(Fraction(5)) and m.n[0][0] == FE.const(0)
+    assert m.phi[0][0] == scalar_to_fe(entry)
+
+
+def test_lift_conjugate_and_tensor_fields():
+    mq = MatrixWD.make([[2, 0], [0, 5]], _zero(2))
+    mfe = MatrixWD.make([[_X, 0], [0, 5]], _zero(2))
+    by_q = mq.conjugate([[1, 1], [0, 1]])
+    assert by_q.field == "Q" and by_q.phi == ((2, 3), (0, 5))
+    by_x = mq.conjugate([[1, _X], [0, 1]])
+    assert by_x.field == "FE"
+    assert by_x.phi[0][1] == scalar_to_fe(Scalar.x_power(1, 3))
+    assert mfe.conjugate([[1, 1], [0, 1]]).field == "FE"
+    assert mfe.conjugate([[1, rat(1)], [0, 1]]).field == "FE"
+    assert tensor_matrix(mq, mq).field == "Q"
+    assert tensor_matrix(mq, mfe).field == "FE"
+    assert tensor_matrix(mfe, mq).field == "FE"
+    assert classify(tensor_matrix(mq, mfe)) == classify(tensor_matrix(mfe, mq))
+
+
+def test_lift_rejects_root_of_unity_entries():
+    z = Scalar.root_of_unity(1, 3)
+    message = "scalar outside Q(x)(sqrt q): zeta(1,3)"
+    for phi in ([[z]], [[z, 0], [0, _X]], [[_X, 0], [0, z]]):
+        with pytest.raises(ValueError) as ei:
+            MatrixWD.make(phi, _zero(len(phi)))
+        assert type(ei.value) is ValueError and str(ei.value) == message
+    mq = MatrixWD.make([[2, 0], [0, 5]], _zero(2))
+    with pytest.raises(ValueError) as ei:
+        mq.conjugate([[1, z], [0, 1]])
+    assert str(ei.value) == message
