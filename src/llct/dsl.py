@@ -10,8 +10,9 @@ Grammar (documented in docs/dsl.md):
     sfactor  := RATIONAL | XPOW | 'q^(' HALFINT ')'
               | 'zeta(' INT ',' INT ')' | IDENT | '(' xsum ')' | '-' sfactor
     xsum     := ['-'] xterm (('+'|'-') xterm)*
-    xterm    := [RATIONAL '*'] XPOW | RATIONAL
+    xterm    := [UNSIGNED '*'] XPOW | UNSIGNED
     XPOW     := 'x' ['^' INT]
+    UNSIGNED := DIGITS ['/' DIGITS]    -- a term's sign belongs to xsum
 
 Parse errors carry line/column and the expected-token set.  Rendering is
 canonical, and parse(render(r)) == r on canonical forms.
@@ -207,7 +208,7 @@ class Parser:
             sign = -1 if t.kind == "-" else 1
 
     def parse_xterm(self) -> tuple[Fraction, int]:
-        """[RATIONAL '*'] XPOW, or RATIONAL alone (k = 0)."""
+        """[UNSIGNED '*'] XPOW, or UNSIGNED alone (k = 0)."""
         t = self.peek()
         c = Fraction(1)
         if t.kind == "num":

@@ -37,10 +37,16 @@ Schur values come from the Jacobi-Trudi determinant det(h_{lam_i - i + j})
 over the table of h_k, expanded along the first row.  A minor of the lower
 rows depends only on the suffix of lam on those rows and on its column
 set, so the GLn x GLn sum keeps one table of minors per homogeneous table
-and shares it across every lam of the call.  The tables are dropped when
-the call returns.  No cache outlives a call because Scalar normal forms
-fold integer powers of q into the rationals, and q is a session global
-that can change between calls.
+and shares it across every lam.
+
+A caller who needs a certificate raises the bound until one holds, so each
+integral keeps one growable state per ladder: L^{-1}, the h_k tables, the
+minors, the series and the certified product, each extended only by the
+degrees a larger bound adds.  A smaller bound reads a prefix; the tail of
+the product is still read on every call.  The key is (q, kind, Satake
+parameters, m): Scalar normal forms fold integer powers of q into the
+rationals, and q is a session global that can change between calls.  At
+most _LADDERS states are kept, the least recently used dropped first.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from fractions import Fraction
 from .exact import (Scalar, Coef, PolyT, TruncSeriesT, DomainError, Record,
                     _coef_div, _acc_coef, _acc_of, _mul_acc)
 from .factors import l_inverse, gamma
+from .session import get_q
 from .wd import WDRep, sp, tensor
 
 
@@ -92,24 +99,35 @@ def _delta_half_qexp2(lam, n) -> int:
     return -sum(l * (n + 1 - 2 * (i + 1)) for i, l in enumerate(lam))
 
 
+class _Table:
+    """h_0, h_1, ... of prod_i 1/(1 - p_i T), grown one degree at a time:
+    row[i] is the top coefficient so far of prod_{k<=i} 1/(1 - p_k T)."""
+
+    __slots__ = ("ps", "row", "h")
+
+    def __init__(self, params):
+        self.ps = [Coef.from_scalar(p).terms for p in params]
+        self.row = [Coef.one()] * len(self.ps)
+        self.h = [Coef.one()]
+
+    def grow(self, maxdeg: int) -> list[Coef]:
+        h = self.h
+        while len(h) <= maxdeg:
+            c, row = Coef.zero(), []
+            for prev, pt in zip(self.row, self.ps):
+                acc = _acc_of(c)
+                _mul_acc(acc, prev.terms, pt)
+                c = _acc_coef(acc)
+                row.append(c)
+            self.row = row
+            h.append(c)
+        return h
+
+
 def homogeneous_table(params, maxdeg: int) -> list[Coef]:
     """h_0..h_maxdeg of the complete homogeneous symmetric polynomials,
-    the coefficients of prod_i 1/(1 - p_i T), multiplied in one geometric
-    factor at a time."""
-    h = [Coef.one()] + [Coef.zero()] * maxdeg
-    for p in params:
-        _add_geometric(h, 1, Coef.from_scalar(p))
-    return h
-
-
-def _add_geometric(h: list[Coef], step: int, p: Coef):
-    """h[j] += p * h[j - step] for j = step, ..., in place: the table
-    becomes the coefficients of its series times 1/(1 - p T^step)."""
-    pt = p.terms
-    for j in range(step, len(h)):
-        acc = _acc_of(h[j])
-        _mul_acc(acc, h[j - step].terms, pt)
-        h[j] = _acc_coef(acc)
+    the coefficients of prod_i 1/(1 - p_i T)."""
+    return _Table(params).grow(maxdeg)
 
 
 def schur_from_table(h: list[Coef], lam, n: int, minors=None) -> Coef:
@@ -226,15 +244,85 @@ class UncertifiedTruncation(ValueError):
     """The truncation bound is too small to certify polynomiality."""
 
 
-def _finish(series: TruncSeriesT, l_inv_poly: PolyT, strict: bool) -> ZetaResult:
-    product = series.mul_poly(l_inv_poly)
-    deg = max(l_inv_poly.degree(), 0)
-    certified = product.bound > deg and all(
-        product.coeff(j).is_zero() for j in range(deg + 1, product.bound + 1))
-    if strict and not certified:
-        raise UncertifiedTruncation(
-            f"nonzero product tail beyond degree {deg} within the window")
-    return ZetaResult(series, l_inv_poly, product, product.bound, certified)
+class _Ladder:
+    """One ladder's state: L^{-1}, the tables of h_k (one for GLn x GL1,
+    two and their Jacobi-Trudi minors for GLn x GLn), the series and the
+    certified product, extended degree by degree."""
+
+    __slots__ = ("l_inv", "tables", "minors", "e", "series", "product")
+
+    def __init__(self, l_inv: PolyT, tables, e=None):
+        self.l_inv = l_inv
+        self.tables = tables
+        self.minors = [{} for _ in tables]
+        # e = e_n(t1) e_n(t2) for GLn x GLn; GLn x GL1 reads h_k directly
+        self.e = e
+        self.series = tables[0].h if e is None else []
+        self.product = []
+
+    def result(self, bound: int, strict: bool) -> ZetaResult:
+        self._grow(bound)
+        prod = self.product
+        # L^{-1} = prod (1 - r T) has constant term 1, so the product's
+        # window is [0, bound] like the series'
+        for d in range(len(prod), bound + 1):
+            acc = {}
+            for d2, c2 in self.l_inv.coeffs.items():
+                if d2 <= d:
+                    _mul_acc(acc, self.series[d - d2].terms, c2.terms)
+            prod.append(_acc_coef(acc))
+        deg = max(self.l_inv.degree(), 0)
+        certified = bound > deg and all(
+            prod[j].is_zero() for j in range(deg + 1, bound + 1))
+        if strict and not certified:
+            raise UncertifiedTruncation(
+                f"nonzero product tail beyond degree {deg} within the window")
+        series, product = (TruncSeriesT(0, bound, dict(enumerate(cs[:bound + 1])))
+                           for cs in (self.series, prod))
+        return ZetaResult(series, self.l_inv, product, bound, certified)
+
+    def _grow(self, bound: int):
+        if self.e is None:
+            self.tables[0].grow(bound)
+            return
+        n = len(self.tables[0].ps)
+        h1, h2 = (t.grow(bound + n - 1) for t in self.tables)
+        minors1, minors2 = self.minors
+        sums = self.series
+        for d in range(len(sums), bound + 1):
+            acc = {}
+            for mu in _partitions(d, n - 1, d):
+                lam = mu + (0,)
+                s1 = schur_from_table(h1, lam, n, minors1)
+                if s1.is_zero():
+                    continue
+                s2 = schur_from_table(h2, lam, n, minors2)
+                if s2.is_zero():
+                    continue
+                # W1 * W2 * delta^{-1} = s_lam(t1) * s_lam(t2): half-densities cancel
+                _mul_acc(acc, s1.terms, s2.terms)
+            c = _acc_coef(acc)
+            if d >= n:
+                # lam + (1^n) contributes e * s_lam(t1) s_lam(t2) in degree |lam| + n
+                acc = _acc_of(c)
+                _mul_acc(acc, sums[d - n].terms, self.e.terms)
+                c = _acc_coef(acc)
+            sums.append(c)
+
+
+_LADDERS = 8  # states kept; the functional-equation check holds two per rung
+_states: dict = {}
+
+
+def _ladder(key, make) -> _Ladder:
+    """The state under key, made by make() if absent, as most recently used."""
+    st = _states.pop(key, None)
+    if st is None:
+        st = make()
+    _states[key] = st
+    if len(_states) > _LADDERS:
+        del _states[next(iter(_states))]
+    return st
 
 
 def _check_lattice(m: Fraction, n1: int, n2: int):
@@ -251,15 +339,16 @@ def zeta_gl_n_gl1(d: SatakeData, m, bound: int, strict: bool = False) -> ZetaRes
     m = _check_lattice(m, d.n, 1)
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    n = d.n
-    # delta^{1/2} at (j, 0, ..., 0) times the shift is q^{-jm}, and h_j is
-    # homogeneous of degree j, so q^{-m} goes into the parameters
-    qm = Scalar.qpow(-int(2 * m))
-    h = homogeneous_table([p * qm for p in d.unitary_twisted().params], bound)
-    series = TruncSeriesT(0, bound, dict(enumerate(h)))
-    shift2 = int(2 * m + n - 1)
-    l_inv = l_inverse(d.rep()).shift(-shift2)
-    return _finish(series, l_inv.poly, strict)
+
+    def make():
+        # delta^{1/2} at (j, 0, ..., 0) times the shift is q^{-jm}, and h_j
+        # is homogeneous of degree j, so q^{-m} goes into the parameters
+        qm = Scalar.qpow(-int(2 * m))
+        l_inv = l_inverse(d.rep()).shift(-int(2 * m + d.n - 1))
+        return _Ladder(l_inv.poly,
+                       [_Table([p * qm for p in d.unitary_twisted().params])])
+
+    return _ladder((get_q(), "gl1", d.params, m), make).result(bound, strict)
 
 
 def zeta_gl_n_gl_n(d1: SatakeData, d2: SatakeData, m, bound: int,
@@ -272,49 +361,32 @@ def zeta_gl_n_gl_n(d1: SatakeData, d2: SatakeData, m, bound: int,
     m = _check_lattice(m, d1.n, d2.n)
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    n = d1.n
-    # s_lam is homogeneous of degree |lam|, so q^{-m|lam|} goes into t1
-    qm = Scalar.qpow(-int(2 * m))
-    t1 = [p * qm for p in d1.unitary_twisted().params]
-    t2 = d2.unitary_twisted().params
-    h1 = homogeneous_table(t1, bound + n - 1)
-    h2 = homogeneous_table(t2, bound + n - 1)
-    minors1, minors2 = {}, {}
-    accs = [{} for _ in range(bound + 1)]
-    for mu in _dominant_nonneg(n - 1, bound):
-        lam = mu + (0,)
-        s1 = schur_from_table(h1, lam, n, minors1)
-        if s1.is_zero():
-            continue
-        s2 = schur_from_table(h2, lam, n, minors2)
-        if s2.is_zero():
-            continue
-        # W1 * W2 * delta^{-1} = s_lam(t1) * s_lam(t2): half-densities cancel
-        _mul_acc(accs[sum(lam)], s1.terms, s2.terms)
-    sums = [_acc_coef(acc) for acc in accs]
-    # lam + (1^n) contributes e_n(t1) e_n(t2) s_lam(t1) s_lam(t2) in degree
-    # |lam| + n, so the central shifts are added degree by degree
-    e = Scalar.one()
-    for p in (*t1, *t2):
-        e = e * p
-    _add_geometric(sums, n, Coef.from_scalar(e))
-    series = TruncSeriesT(0, bound, dict(enumerate(sums)))
-    shift2 = int(2 * m + 2 * n - 2)
-    l_inv = l_inverse(tensor(d1.rep(), d2.rep())).shift(-shift2)
-    return _finish(series, l_inv.poly, strict)
+
+    def make():
+        # s_lam is homogeneous of degree |lam|, so q^{-m|lam|} goes into t1
+        qm = Scalar.qpow(-int(2 * m))
+        t1 = [p * qm for p in d1.unitary_twisted().params]
+        t2 = d2.unitary_twisted().params
+        e = Scalar.one()
+        for p in (*t1, *t2):
+            e = e * p
+        l_inv = l_inverse(tensor(d1.rep(), d2.rep())).shift(-int(2 * m + 2 * d1.n - 2))
+        return _Ladder(l_inv.poly, [_Table(t1), _Table(t2)], Coef.from_scalar(e))
+
+    key = (get_q(), "glnn", d1.params, d2.params, m)
+    return _ladder(key, make).result(bound, strict)
 
 
-def _dominant_nonneg(n: int, total_bound: int):
-    """Dominant lam in Z^n with lam_n >= 0 and |lam| <= total_bound."""
-
-    def rec(prefix, remaining, cap):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in range(min(remaining, cap), -1, -1):
-            yield from rec(prefix + [v], remaining - v, v)
-
-    yield from rec([], total_bound, total_bound)
+def _partitions(total: int, parts: int, cap: int):
+    """Nonincreasing tuples of `parts` integers in [0, cap] with sum total,
+    in decreasing lexicographic order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for v in range(min(total, cap), -(-total // parts) - 1, -1):
+        for rest in _partitions(total - v, parts - 1, v):
+            yield (v,) + rest
 
 
 def invariant_pairing_check(d: SatakeData, bound: int) -> bool:

@@ -134,6 +134,9 @@ _PINNED = [
     ("scalar", "(x-)",
      (ParseError, "unexpected ')' at line 1, column 4 (expected rational, x)",
       1, 4, ("rational", "x"))),
+    ("scalar", "(x+-2)",
+     (ParseError, "unexpected '-' at line 1, column 4 (expected rational, x)",
+      1, 4, ("rational", "x"))),
     ("scalar", "(2*x^)",
      (ParseError, "unexpected ')' at line 1, column 6 (expected integer)",
       1, 6, ("integer",))),

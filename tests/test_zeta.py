@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import seeded
+from llct import session, zeta
 from llct.exact import Coef, Scalar
 from llct.zeta import (SatakeData, UncertifiedTruncation,
                        gl2_gamma_functional_equation_check, homogeneous_table,
@@ -438,3 +439,98 @@ def test_quarter_shift_is_rejected():
         zeta_gl_n_gl1(sat(2, 3), Fraction(1, 4), 10)
     with pytest.raises(ValueError):
         zeta_gl_n_gl_n(sat(2, 3), sat(5, 7), Fraction(1, 4), 10)
+
+
+# ---------------------------------------------------------------------------
+# Ladder states: a warm call equals the same call on cold states
+# ---------------------------------------------------------------------------
+
+def _outcome(call):
+    """render() of the result, or the text of UncertifiedTruncation."""
+    try:
+        res = call()
+    except UncertifiedTruncation as e:
+        return f"uncertified: {e}"
+    return res if isinstance(res, bool) else res.render()
+
+
+def _cold(call):
+    zeta._states.clear()
+    return _outcome(call)
+
+
+ladder_params = st.one_of(
+    satake_values,
+    st.builds(lambda c, e, k: Scalar.x_power(k, c) * Scalar.qpow(e),
+              st.sampled_from([1, 2, Fraction(1, 3), -5]), st.integers(-2, 2),
+              st.sampled_from([-1, 1])))
+
+
+@st.composite
+def ladder_runs(draw):
+    """More distinct ladders than states, each visited with rising, falling
+    and repeated bounds while q moves among 3, 4, 5 and 9."""
+    ladders = []
+    for _ in range(zeta._LADDERS + 2):
+        kind = draw(st.sampled_from(["gl1", "glnn", "feq"]))
+        n = draw(st.integers(1, 3 if kind == "gl1" else 2))
+        d1 = SatakeData(tuple(draw(ladder_params) for _ in range(n)))
+        d2 = SatakeData(tuple(draw(ladder_params) for _ in range(n)))
+        m = Fraction(1 - n * (n if kind == "glnn" else 1), 2) + draw(st.integers(-3, 2))
+        ladders.append((kind, d1, d2, m))
+    step = st.tuples(st.integers(0, len(ladders) - 1), st.sampled_from([3, 4, 5, 9]),
+                     st.integers(1, 9), st.booleans())
+    calls = draw(st.lists(step, min_size=len(ladders), max_size=2 * len(ladders)))
+    calls += [(i, 3, 9, False) for i in range(len(ladders))]
+    return ladders, draw(st.permutations(calls))
+
+
+def _ladder_call(ladder, bound, strict):
+    kind, d1, d2, m = ladder
+    if kind == "gl1":
+        return lambda: zeta_gl_n_gl1(d1, m, bound, strict)
+    if kind == "glnn":
+        return lambda: zeta_gl_n_gl_n(d1, d2, m, bound, strict)
+    return lambda: gl2_gamma_functional_equation_check(d1, bound)
+
+
+@settings(max_examples=15, deadline=None)
+@given(ladder_runs())
+def test_ladder_states_match_cold_calls(run):
+    ladders, calls = run
+    warm = []
+    for i, q, bound, strict in calls:
+        session.set_q(q)
+        warm.append(_outcome(_ladder_call(ladders[i], bound, strict)))
+    for (i, q, bound, strict), got in zip(calls, warm):
+        session.set_q(q)
+        assert got == _cold(_ladder_call(ladders[i], bound, strict))
+
+
+def test_ladder_key_holds_q():
+    # the same data and shift at another q is another ladder: the twist and
+    # the shift of L^{-1} are powers of q folded into the rationals
+    for call in (lambda: zeta_gl_n_gl1(sat(2, 3), Fraction(3, 2), 12),
+                 lambda: zeta_gl_n_gl_n(sat(2, 3), sat(5, 7), Fraction(1, 2), 8)):
+        zeta._states.clear()
+        at3 = _outcome(call)
+        session.set_q(5)
+        at5 = _outcome(call)
+        assert at5 != at3
+        assert at5 == _cold(call)
+        session.set_q(3)
+        assert _outcome(call) == at3
+
+
+def test_failed_strict_rung_leaves_state_usable():
+    # L^{-1} has degree n for GLn x GL1 and n^2 for GLn x GLn, so a window
+    # that short cannot certify
+    for call, low in ((lambda b: zeta_gl_n_gl1(sat(2, 3), Fraction(-1, 2), b, True), 2),
+                      (lambda b: zeta_gl_n_gl_n(sat(2, 3), sat(5, 7), Fraction(-3, 2),
+                                                b, True), 4)):
+        zeta._states.clear()
+        with pytest.raises(UncertifiedTruncation):
+            call(low)
+        warm = call(20)
+        assert warm.certified
+        assert warm.render() == _cold(lambda: call(20))
