@@ -3,8 +3,12 @@
 
 Each golden file records one command line and its exact JSON output; the
 CLI test replays them and requires byte-identical output.
+
+    python scripts/regen_golden.py           rewrite tests/golden/
+    python scripts/regen_golden.py --check   compare only; exit 1 on drift
 """
 
+import argparse
 import io
 import contextlib
 import json
@@ -35,6 +39,13 @@ COMMANDS = [
      "--bound", "12"],
     ["oracle", "tensor", "Sp(unr(1),2)", "Sp(unr(1),2)"],
     ["family-check", "--matrix", "[[0,x],[0,0]]", "--at", "0"],
+    ["zeta", "--n1", "2", "--n2", "2", "--params", "2,3", "--params2", "5,7",
+     "--m", "1/2", "--bound", "6"],
+    ["zeta", "--n1", "2", "--n2", "1", "--params", "x,q^(1/2)", "--m", "-1/2",
+     "--bound", "5"],
+    ["Lss", "Sp(unr(x),2)+Sp(unr(q^(1/2)),1)"],
+    ["pairing", "--params", "2,5", "--bound", "20"],
+    ["check", "feq", "--params", "2,3", "--bound", "20"],
 ]
 
 
@@ -45,18 +56,45 @@ def run(argv):
     return code, buf.getvalue()
 
 
-def main_():
+def goldens():
+    """{file name: file text} for every command in COMMANDS."""
+    out = {}
+    for i, argv in enumerate(COMMANDS):
+        code, stdout = run(argv)
+        assert code == 0, (argv, stdout)
+        record = {"argv": argv, "exit": code, "stdout": stdout}
+        out[f"cmd_{i:02d}.json"] = json.dumps(record, sort_keys=True, indent=1) + "\n"
+    return out
+
+
+def check(want) -> int:
+    """Compare tests/golden/ with want; print each difference."""
+    have = {p.name: p.read_text() for p in GOLDEN.glob("*.json")}
+    bad = sorted(name for name in have.keys() | want.keys()
+                 if have.get(name) != want.get(name))
+    for name in bad:
+        state = ("missing" if name not in have else
+                 "not in COMMANDS" if name not in want else "differs")
+        print(f"{name}: {state}")
+    return 1 if bad else 0
+
+
+def main_(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--check", action="store_true",
+                    help="regenerate in memory, write nothing, exit 1 on any difference")
+    args = ap.parse_args(argv)
+    want = goldens()
+    if args.check:
+        return check(want)
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for old in GOLDEN.glob("*.json"):
         old.unlink()
-    for i, argv in enumerate(COMMANDS):
-        code, out = run(argv)
-        assert code == 0, (argv, out)
-        record = {"argv": argv, "exit": code, "stdout": out}
-        path = GOLDEN / f"cmd_{i:02d}.json"
-        path.write_text(json.dumps(record, sort_keys=True, indent=1) + "\n")
-        print(f"wrote {path.name}: llct {' '.join(argv)}")
+    for name, text in want.items():
+        (GOLDEN / name).write_text(text)
+        print(f"wrote {name}: llct {' '.join(json.loads(text)['argv'])}")
+    return 0
 
 
 if __name__ == "__main__":
-    main_()
+    sys.exit(main_())

@@ -11,7 +11,7 @@ Values live in the ring generated over Q by
 Integer powers of q and the sign zeta(1,2) = -1 are folded into the
 rational coefficients, so every element has a unique normal form.
 
-Four layers:
+Five layers:
   Scalar       -- a single unit times q^(h/2) times a Laurent poly in x;
                   closed under multiplication, inverted when the x-part
                   is a monomial.
@@ -74,7 +74,7 @@ def _norm_root(a: int, n: int) -> tuple[tuple[int, int], int]:
     """Reduce zeta_n^a to the canonical section a'/n' in [0, 1/2) of the
     root-of-unity group, with the -1 component returned as a sign."""
     if n <= 0:
-        raise ValueError("root-of-unity order must be positive")
+        raise DomainError("root-of-unity order must be positive")
     a %= n
     g = gcd(a, n)
     if g:
@@ -95,12 +95,7 @@ def _mul_roots(r1, r2) -> tuple[tuple[int, int], int]:
 
 
 def _mul_opaques(o1, o2):
-    d = dict(o1)
-    for sym, e in o2:
-        d[sym] = d.get(sym, 0) + e
-        if d[sym] == 0:
-            del d[sym]
-    return tuple(sorted(d.items()))
+    return tuple(sorted(_merge(dict(o1), o2).items()))
 
 
 class Scalar:
@@ -256,8 +251,9 @@ class Scalar:
         while e:
             if e & 1:
                 r = r * b
-            b = b * b
             e >>= 1
+            if e:
+                b = b * b
         return r
 
     def specialize_x(self, a) -> "Scalar":
@@ -328,12 +324,28 @@ def _render_xpoly(xp: dict) -> str:
     if not xp:
         return "0"
     terms = [_render_xterm(k, c) for k, c in sorted(xp.items())]
-    out = terms[0]
-    for t in terms[1:]:
-        out += t if t.startswith("-") else "+" + t
-    if len(terms) > 1:
-        out = f"({out})"
+    out = _join_signed(terms, "")
+    return f"({out})" if len(terms) > 1 else out
+
+
+def _join_signed(parts, space=" "):
+    """parts joined by '+', or by '-' in place of a part's leading '-',
+    with `space` on both sides of the sign."""
+    out = parts[0]
+    for p in parts[1:]:
+        out += f"{space}-{space}{p[1:]}" if p.startswith("-") else f"{space}+{space}{p}"
     return out
+
+
+def _merge(d, items):
+    """Add the (key, value) pairs into the term dict d, dropping zero sums."""
+    for k, c in items:
+        v = d.get(k, 0) + c
+        if v:
+            d[k] = v
+        else:
+            d.pop(k, None)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +397,7 @@ class Coef:
         return hash(tuple(sorted(self.terms.items())))
 
     def __add__(self, other):
-        d = dict(self.terms)
-        for k, c in other.terms.items():
-            v = d.get(k, Q0) + c
-            if v == 0:
-                d.pop(k, None)
-            else:
-                d[k] = v
-        return Coef(d)
+        return Coef(_merge(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return Coef({k: -c for k, c in self.terms.items()})
@@ -408,9 +413,6 @@ class Coef:
     __rmul__ = __mul__
 
     def mul_scalar(self, s: Scalar):
-        if s.is_rational():
-            c = s.xpoly.get(0, Q0)
-            return Coef({k: v * c for k, v in self.terms.items()} if c else {})
         return self * Coef.from_scalar(s)
 
     def is_plain(self):
@@ -435,30 +437,17 @@ class Coef:
 
     def specialize_x(self, a):
         a = Fraction(a)
-        out: dict[UnitKey, Fraction] = {}
-        for (r, o, h, x), c in self.terms.items():
-            if x < 0 and a == 0:
-                raise DomainError("specializing x -> 0 in a Laurent pole")
-            v = c * (a ** x if x >= 0 else Fraction(1) / (a ** (-x)))
-            k = (r, o, h, 0)
-            w = out.get(k, Q0) + v
-            if w == 0:
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return Coef(out)
+        if a == 0 and any(k[3] < 0 for k in self.terms):
+            raise DomainError("specializing x -> 0 in a Laurent pole")
+        terms = (((r, o, h, 0), c * a ** x) for (r, o, h, x), c in self.terms.items())
+        return Coef(_merge({}, terms))
 
     def render(self):
         if self.is_zero():
             return "0"
-        parts = []
-        for key in sorted(self.terms, key=_unitkey_sort):
-            r, o, h, x = key
-            parts.append(Scalar(r, o, h, {x: self.terms[key]}).render())
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        parts = [Scalar(r, o, h, {x: self.terms[r, o, h, x]}).render()
+                 for r, o, h, x in sorted(self.terms, key=_unitkey_sort)]
+        return _join_signed(parts, "")
 
     def __repr__(self):
         return f"Coef({self.render()})"
@@ -583,11 +572,7 @@ class PolyT:
     def __add__(self, other):
         d = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            v = d.get(k, Coef.zero()) + c
-            if v.is_zero():
-                d.pop(k, None)
-            else:
-                d[k] = v
+            d[k] = d[k] + c if k in d else c
         return PolyT(d)
 
     def __neg__(self):
@@ -610,22 +595,13 @@ class PolyT:
 
     def subst_T_scale(self, s: Scalar):
         """T -> s*T (degrees are >= 0 by construction)."""
-        out, e, power = {}, 0, Scalar.one()
-        for d in sorted(self.coeffs):
-            while e < d:
-                power, e = power * s, e + 1
-            out[d] = self.coeffs[d].mul_scalar(power)
-        return PolyT(out)
+        return PolyT({d: c.mul_scalar(s ** d) for d, c in self.coeffs.items()})
 
     def eval_coef(self, t: Coef) -> Coef:
-        """Evaluate at T = t (degrees are >= 0 by construction)."""
+        """Evaluate at T = t by Horner's rule (degrees are >= 0 by construction)."""
         out = Coef.zero()
-        powers = {0: Coef.one()}
-        for d in sorted(self.coeffs):
-            while max(powers) < d:
-                m = max(powers)
-                powers[m + 1] = powers[m] * t
-            out = out + self.coeffs[d] * powers[d]
+        for d in range(max(self.coeffs, default=0), -1, -1):
+            out = out * t + self.coeffs.get(d, Coef.zero())
         return out
 
     def specialize_x(self, a):
@@ -650,29 +626,26 @@ class PolyT:
         return PolyT(quo), rem
 
     def render(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for d in sorted(self.coeffs):
-            c = self.coeffs[d].render()
-            if "+" in c[1:] or "-" in c[1:]:
-                c = f"({c})"
-            if d == 0:
-                parts.append(c)
-            else:
-                ts = "T" if d == 1 else f"T^{d}"
-                parts.append(ts if c == "1" else f"{c}*{ts}")
-        return _join_signed(parts)
+        return _render_t_sum(self.coeffs) if self.coeffs else "0"
 
     def __repr__(self):
         return f"PolyT({self.render()})"
 
 
-def _join_signed(parts):
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+def _render_t_sum(coeffs) -> str:
+    """The nonempty sum of c_d * T^d: a coefficient of more than one term
+    in parentheses, a coefficient +-1 as its bare sign."""
+    parts = []
+    for d in sorted(coeffs):
+        c = coeffs[d].render()
+        if len(coeffs[d].terms) > 1:
+            c = f"({c})"
+        if d == 0:
+            parts.append(c)
+        else:
+            ts = "T" if d == 1 else f"T^{d}"
+            parts.append(c[:-1] + ts if c in ("1", "-1") else f"{c}*{ts}")
+    return _join_signed(parts)
 
 
 def _coef_div(a: Coef, b: Coef):
@@ -819,7 +792,7 @@ class TruncSeriesT:
 
     def __init__(self, low: int, bound: int, coeffs=None):
         if bound < low:
-            raise ValueError("empty series window")
+            raise DomainError("empty series window")
         self.low = low
         self.bound = bound
         cs = ((d, _as_coef(c)) for d, c in (coeffs or {}).items()
@@ -870,13 +843,7 @@ class TruncSeriesT:
     def render(self):
         if not self.coeffs:
             return "0"
-        parts = []
-        for d in sorted(self.coeffs):
-            c = self.coeffs[d].render()
-            if "+" in c[1:] or "-" in c[1:]:
-                c = f"({c})"
-            parts.append(c if d == 0 else (f"{c}*T^{d}" if d != 1 else f"{c}*T"))
-        return _join_signed(parts) + f" + O(T^{self.bound + 1})"
+        return _render_t_sum(self.coeffs) + f" + O(T^{self.bound + 1})"
 
     def __repr__(self):
         return f"TruncSeriesT({self.render()})"

@@ -9,6 +9,7 @@ semisimple unit times det(-Frobenius on r^{I_F}/Ker(N)^{I_F}).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exact import Scalar, PolyT, RatFuncT, Coef, DomainError, Record, poly_divides
@@ -80,12 +81,8 @@ def rs_l_inverse(r1: WDRep, r2: WDRep, shift_qexp2: int = 0) -> LInverse:
 def _eps_ss(r: WDRep) -> tuple[Scalar, int]:
     """Semisimple epsilon data: product of atom units (one per twist
     level) and the conductor of the semisimplification."""
-    unit = Scalar.one()
-    cond = 0
-    for b in r.blocks:
-        unit = unit * (b.atom.eps_unit ** b.m)
-        cond += b.m * b.atom.cond
-    return unit, cond
+    unit = math.prod((b.atom.eps_unit ** b.m for b in r.blocks), start=Scalar.one())
+    return unit, sum(b.m * b.atom.cond for b in r.blocks)
 
 
 def _quotient_eigenvalues(r: WDRep) -> list[Scalar]:
@@ -96,6 +93,11 @@ def _quotient_eigenvalues(r: WDRep) -> list[Scalar]:
     for s in diag_entries(ker):
         out.remove(s)
     return sorted(out, key=Scalar.sort_key)
+
+
+def _det_neg(eigenvalues) -> Scalar:
+    """det(-Frobenius) on a space with the given Frobenius eigenvalues."""
+    return math.prod((-lam for lam in eigenvalues), start=Scalar.one())
 
 
 def gamma(r: WDRep) -> tuple[RatFuncT, Scalar]:
@@ -117,10 +119,7 @@ def epsilon(r: WDRep) -> EpsFactor:
     conductor a(r) = a(r_ss) + dim r^{I_F} - dim Ker(N)^{I_F}."""
     unit, cond = _eps_ss(r)
     quot = _quotient_eigenvalues(r)
-    det = Scalar.one()
-    for lam in quot:
-        det = det * (-lam)
-    return EpsFactor(unit * det, cond + len(quot))
+    return EpsFactor(unit * _det_neg(quot), cond + len(quot))
 
 
 def epsilon_ratio_check(r: WDRep) -> bool:
@@ -146,12 +145,9 @@ def epsilon_ratio_check(r: WDRep) -> bool:
     if any(root == one for root in num_roots + den_roots):
         # 0/0 at T = 1: the exact factor-paired identity is the content
         return True
-    det = Scalar.one()
-    for lam in quot:
-        det = det * (-lam)
     num1 = lhs.num.eval_coef(Coef.one())
     den1 = lhs.den.eval_coef(Coef.one())
-    return num1 == den1 * Coef.from_scalar(det)
+    return num1 == den1 * Coef.from_scalar(_det_neg(quot))
 
 
 def monodromy_divisibility(r_small: WDRep, r_big: WDRep) -> bool:

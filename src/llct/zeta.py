@@ -40,17 +40,22 @@ set, so the GLn x GLn sum keeps one table of minors per homogeneous table
 and shares it across every lam.
 
 A caller who needs a certificate raises the bound until one holds, so each
-integral keeps one growable state per ladder: L^{-1}, the h_k tables, the
-minors, the series and the certified product, each extended only by the
-degrees a larger bound adds.  A smaller bound reads a prefix; the tail of
-the product is still read on every call.  The key is (q, kind, Satake
-parameters, m): Scalar normal forms fold integer powers of q into the
-rationals, and q is a session global that can change between calls.  At
-most _LADDERS states are kept, the least recently used dropped first.
+integral keeps one growable state per ladder: L^{-1}, a series source and
+the certified product, each extended only by the degrees a larger bound
+adds.  The source's grow(bound) returns the series coefficients through
+at least degree bound.  For GLn x GL1 the source is the table of h_k
+itself.  For GLn x GLn it holds both tables, their Jacobi-Trudi minors and
+e_n(t1) e_n(t2), and sums the Schur products degree by degree.  A smaller
+bound reads a prefix; the tail of the product is still read on every call.
+The key is (q, kind, Satake parameters, m): Scalar normal forms fold
+integer powers of q into the rationals, and q is a session global that can
+change between calls.  At most _LADDERS states are kept, the least
+recently used dropped first.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exact import (Scalar, Coef, PolyT, TruncSeriesT, DomainError, Record,
@@ -70,8 +75,8 @@ class SatakeData(Record):
                    for p in params)
         for p in ps:
             if p.is_zero() or p.has_opaque():
-                raise ValueError("Satake parameters must be invertible and "
-                                 "opaque-free")
+                raise DomainError("Satake parameters must be invertible and "
+                                  "opaque-free")
         self.params = ps
 
     @property
@@ -189,7 +194,7 @@ def whittaker_value(d: SatakeData, lam) -> Coef:
     given parameters; zero off the dominant cone."""
     lam = tuple(lam)
     if len(lam) != d.n:
-        raise ValueError("cocharacter length must equal n")
+        raise DomainError("cocharacter length must equal n")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         return Coef.zero()
     shift = lam[-1] if lam and lam[-1] < 0 else 0
@@ -197,20 +202,13 @@ def whittaker_value(d: SatakeData, lam) -> Coef:
     h = homogeneous_table(d.params, (base[0] if base else 0) + d.n)
     s = schur_from_table(h, base, d.n)
     if shift:
-        det = Coef.one()
-        for p in d.params:
-            det = det * Coef.from_scalar(p)
+        det = math.prod(map(Coef.from_scalar, d.params))
         for _ in range(-shift):
-            s = _coef_div_exact(s, det)
+            s = _coef_div(s, det)
+            if s is None:
+                raise DomainError("inexact coefficient division")
     delta = Scalar.qpow(_delta_half_qexp2(lam, d.n))
     return s.mul_scalar(delta)
-
-
-def _coef_div_exact(a: Coef, b: Coef) -> Coef:
-    out = _coef_div(a, b)
-    if out is None:
-        raise DomainError("inexact coefficient division")
-    return out
 
 
 class ZetaResult(Record):
@@ -245,23 +243,18 @@ class UncertifiedTruncation(ValueError):
 
 
 class _Ladder:
-    """One ladder's state: L^{-1}, the tables of h_k (one for GLn x GL1,
-    two and their Jacobi-Trudi minors for GLn x GLn), the series and the
-    certified product, extended degree by degree."""
+    """One ladder's state: L^{-1}, the series source and the certified
+    product, extended degree by degree."""
 
-    __slots__ = ("l_inv", "tables", "minors", "e", "series", "product")
+    __slots__ = ("l_inv", "source", "product")
 
-    def __init__(self, l_inv: PolyT, tables, e=None):
+    def __init__(self, l_inv: PolyT, source):
         self.l_inv = l_inv
-        self.tables = tables
-        self.minors = [{} for _ in tables]
-        # e = e_n(t1) e_n(t2) for GLn x GLn; GLn x GL1 reads h_k directly
-        self.e = e
-        self.series = tables[0].h if e is None else []
+        self.source = source
         self.product = []
 
     def result(self, bound: int, strict: bool) -> ZetaResult:
-        self._grow(bound)
+        series = self.source.grow(bound)
         prod = self.product
         # L^{-1} = prod (1 - r T) has constant term 1, so the product's
         # window is [0, bound] like the series'
@@ -269,7 +262,7 @@ class _Ladder:
             acc = {}
             for d2, c2 in self.l_inv.coeffs.items():
                 if d2 <= d:
-                    _mul_acc(acc, self.series[d - d2].terms, c2.terms)
+                    _mul_acc(acc, series[d - d2].terms, c2.terms)
             prod.append(_acc_coef(acc))
         deg = max(self.l_inv.degree(), 0)
         certified = bound > deg and all(
@@ -278,17 +271,28 @@ class _Ladder:
             raise UncertifiedTruncation(
                 f"nonzero product tail beyond degree {deg} within the window")
         series, product = (TruncSeriesT(0, bound, dict(enumerate(cs[:bound + 1])))
-                           for cs in (self.series, prod))
+                           for cs in (series, prod))
         return ZetaResult(series, self.l_inv, product, bound, certified)
 
-    def _grow(self, bound: int):
-        if self.e is None:
-            self.tables[0].grow(bound)
-            return
+
+class _SchurPairSums:
+    """The GLn x GLn series: its degree-d coefficient sums s_lam(t1) s_lam(t2)
+    over the dominant lam with |lam| = d, from the tables of h_k of t1 and
+    t2 and their Jacobi-Trudi minors."""
+
+    __slots__ = ("tables", "minors", "e", "sums")
+
+    def __init__(self, t1, t2):
+        self.tables = (_Table(t1), _Table(t2))
+        self.minors = ({}, {})
+        self.e = Coef.from_scalar(math.prod((*t1, *t2)))  # e_n(t1) e_n(t2)
+        self.sums = []
+
+    def grow(self, bound: int) -> list[Coef]:
         n = len(self.tables[0].ps)
         h1, h2 = (t.grow(bound + n - 1) for t in self.tables)
         minors1, minors2 = self.minors
-        sums = self.series
+        sums = self.sums
         for d in range(len(sums), bound + 1):
             acc = {}
             for mu in _partitions(d, n - 1, d):
@@ -308,6 +312,7 @@ class _Ladder:
                 _mul_acc(acc, sums[d - n].terms, self.e.terms)
                 c = _acc_coef(acc)
             sums.append(c)
+        return sums
 
 
 _LADDERS = 8  # states kept; the functional-equation check holds two per rung
@@ -325,10 +330,12 @@ def _ladder(key, make) -> _Ladder:
     return st
 
 
-def _check_lattice(m: Fraction, n1: int, n2: int):
+def _check_lattice(m: Fraction, n1: int, n2: int, bound: int):
     m = Fraction(m)
     if (m - Fraction(1 - n1 * n2, 2)).denominator not in (1, 2):
-        raise ValueError("shift m must be a half-integer")
+        raise DomainError("shift m must be a half-integer")
+    if bound < 1:
+        raise DomainError("bound must be >= 1")
     return m
 
 
@@ -336,17 +343,14 @@ def zeta_gl_n_gl1(d: SatakeData, m, bound: int, strict: bool = False) -> ZetaRes
     """Sum over the valuation-j cosets of the embedded GL1 torus against
     the trivial GL1 datum: the j-th coefficient is the Whittaker value at
     (j, 0, ..., 0) times q^{-j(m + (1-n)/2)}."""
-    m = _check_lattice(m, d.n, 1)
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    m = _check_lattice(m, d.n, 1, bound)
 
     def make():
         # delta^{1/2} at (j, 0, ..., 0) times the shift is q^{-jm}, and h_j
         # is homogeneous of degree j, so q^{-m} goes into the parameters
         qm = Scalar.qpow(-int(2 * m))
         l_inv = l_inverse(d.rep()).shift(-int(2 * m + d.n - 1))
-        return _Ladder(l_inv.poly,
-                       [_Table([p * qm for p in d.unitary_twisted().params])])
+        return _Ladder(l_inv.poly, _Table([p * qm for p in d.unitary_twisted().params]))
 
     return _ladder((get_q(), "gl1", d.params, m), make).result(bound, strict)
 
@@ -357,21 +361,16 @@ def zeta_gl_n_gl_n(d1: SatakeData, d2: SatakeData, m, bound: int,
     (which truncates the last torus coordinate to be >= 0): torus sum of
     products of Whittaker values against the inverse measure density."""
     if d1.n != d2.n:
-        raise ValueError("equal ranks required")
-    m = _check_lattice(m, d1.n, d2.n)
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+        raise DomainError("equal ranks required")
+    m = _check_lattice(m, d1.n, d2.n, bound)
 
     def make():
         # s_lam is homogeneous of degree |lam|, so q^{-m|lam|} goes into t1
         qm = Scalar.qpow(-int(2 * m))
         t1 = [p * qm for p in d1.unitary_twisted().params]
         t2 = d2.unitary_twisted().params
-        e = Scalar.one()
-        for p in (*t1, *t2):
-            e = e * p
         l_inv = l_inverse(tensor(d1.rep(), d2.rep())).shift(-int(2 * m + 2 * d1.n - 2))
-        return _Ladder(l_inv.poly, [_Table(t1), _Table(t2)], Coef.from_scalar(e))
+        return _Ladder(l_inv.poly, _SchurPairSums(t1, t2))
 
     key = (get_q(), "glnn", d1.params, d2.params, m)
     return _ladder(key, make).result(bound, strict)
@@ -394,7 +393,7 @@ def invariant_pairing_check(d: SatakeData, bound: int) -> bool:
     normalized unramified data, with any Phi of unit mass (1_{O^n} here);
     verified as the certified product being identically 1."""
     if bound < 20:
-        raise ValueError("bound >= 20 required for a meaningful certificate")
+        raise DomainError("bound >= 20 required for a meaningful certificate")
     res = zeta_gl_n_gl_n(d, d.dual(), Fraction(1), bound, strict=True)
     return res.product_is_one()
 

@@ -46,6 +46,20 @@ def test_output_is_deterministic():
         assert first == second
 
 
+@pytest.mark.parametrize("argv, key, want", [
+    (["L", "Sp(unr(x^-1),1)"], "L_inverse", "1 - x^-1*T"),
+    (["L", "Sp(unr(1),1)"], "L_inverse", "1 - T"),
+    (["zeta", "--n1", "1", "--n2", "1", "--params", "1", "--m", "0", "--bound", "3"],
+     "series", "1 + T + T^2 + T^3 + O(T^4)"),
+    (["gamma", "Sp(unr(-x^-1*q^(1/2)),2)"], "gamma",
+     "(1 + 4/3*x^-1*q^(1/2)*T + x^-2*T^2) / (1 + 4/9*x*q^(1/2)*T + 1/9*x^2*T^2)"),
+])
+def test_t_sum_parenthesises_only_sums_and_writes_unit_as_sign(argv, key, want):
+    code, out = run(argv)
+    assert code == 0
+    assert json.loads(out)[key] == want
+
+
 def test_exit_codes():
     assert run(["L", "Sp(unr(1)"])[0] == 2          # parse error
     assert run(["L", "Sp(unr(0),1)"])[0] == 3        # domain error

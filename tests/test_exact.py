@@ -331,3 +331,99 @@ def test_negative_unit_renders_without_one():
     assert Scalar.opaque("eps_a", -1).render() == "eps_a^-1"
     assert Scalar.make(-2, qexp2=1).render() == "-2*q^(1/2)"
     assert rat(-1).render() == "-1"
+
+
+# ---------------------------------------------------------------------------
+# Pinned T-side output: renders, cancelling sums, evaluation, substitution
+# ---------------------------------------------------------------------------
+
+def _x(k=1, c=1, **kw):
+    return Scalar.make(c, xexp=k, **kw)
+
+
+def _sq(qexp2=1, c=1):
+    return Scalar.make(c, qexp2=qexp2)
+
+
+def _render_or_error(make):
+    try:
+        return make().render()
+    except DomainError:
+        return "DomainError"
+
+
+T_SIDE = [
+    ("scalar zero", lambda: Scalar.zero(), "0"),
+    ("scalar constant", lambda: rat(Fraction(-2, 3)), "-2/3"),
+    ("scalar -1", lambda: rat(-1), "-1"),
+    ("scalar x-poly q^(1/2) root",
+     lambda: Scalar((1, 3), (), 1, {0: Fraction(1), 1: Fraction(-2), 2: Fraction(1, 2)}),
+     "(1-2*x+1/2*x^2)*zeta(1,3)*q^(1/2)"),
+    ("scalar -x^2 root", lambda: _x(2, -1, root=(1, 5)), "-x^2*zeta(1,5)"),
+    ("coef zero", lambda: Coef.zero(), "0"),
+    ("coef constant", lambda: Coef.from_rational(7), "7"),
+    ("coef multi", lambda: _coef(_sq(), _x(), _x(2, Fraction(-3, 2))),
+     "q^(1/2)+x-3/2*x^2"),
+    ("coef negative first", lambda: _coef(_sq(1, -1), _x()), "-q^(1/2)+x"),
+    ("coef root and q^(1/2)", lambda: _coef(_x(1, 2, root=(1, 3)), _sq(3)),
+     "3*q^(1/2)+2*x*zeta(1,3)"),
+    ("poly zero", lambda: PolyT.zero(), "0"),
+    ("poly constant", lambda: PolyT({0: -5}), "-5"),
+    ("poly 1 at T", lambda: PolyT({0: 2, 1: 1}), "2 + T"),
+    ("poly 1 at T^d", lambda: PolyT({3: 1}), "T^3"),
+    ("poly -1 at T", lambda: PolyT({0: 1, 1: -1}), "1 - T"),
+    ("poly -1 at T^d", lambda: PolyT({0: 1, 4: -1}), "1 - T^4"),
+    ("poly -1 first", lambda: PolyT({1: -1, 2: 1}), "-T + T^2"),
+    ("poly multi-term coef", lambda: PolyT({0: 1, 1: _coef(_sq(), _x())}),
+     "1 + (q^(1/2)+x)*T"),
+    ("poly negative multi-term coef",
+     lambda: PolyT({0: 1, 2: _coef(_sq(1, -1), _x(1, -1))}), "1 + (-q^(1/2)-x)*T^2"),
+    ("poly negative first term", lambda: PolyT({0: Fraction(-1, 2), 2: 3}), "-1/2 + 3*T^2"),
+    ("poly q^(1/2) and root",
+     lambda: PolyT({1: _x(1, -1, qexp2=1, root=(1, 4)),
+                    2: _coef(_sq(), _x(0, root=(1, 3)))}),
+     "-x*zeta(1,4)*q^(1/2)*T + (zeta(1,3)+q^(1/2))*T^2"),
+    ("ratfunc", lambda: RatFuncT(PolyT({0: 1, 1: -2}), PolyT({0: 1, 1: _sq()})),
+     "(1/3*q^(1/2) - 2/3*q^(1/2)*T) / (1/3*q^(1/2) + T)"),
+    ("series zero", lambda: TruncSeriesT(0, 3), "0"),
+    ("series constant", lambda: TruncSeriesT(0, 3, {0: 1}), "1 + O(T^4)"),
+    ("series 1 at T and T^d", lambda: TruncSeriesT(0, 3, {0: 1, 1: 1, 3: 1}),
+     "1 + T + T^3 + O(T^4)"),
+    ("series -1 at T and T^d", lambda: TruncSeriesT(0, 4, {1: -1, 2: -1}),
+     "-T - T^2 + O(T^5)"),
+    ("series Laurent", lambda: TruncSeriesT(-2, 1, {-2: 3, -1: _coef(_sq(), _x(-2))}),
+     "3*T^-2 + (x^-2+q^(1/2))*T^-1 + O(T^2)"),
+    ("series multi-term", lambda: TruncSeriesT(0, 2, {0: 1, 2: _coef(_sq(1, -1), _x())}),
+     "1 + (-q^(1/2)+x)*T^2 + O(T^3)"),
+    ("coef sum cancels", lambda: _coef(_sq(), _x()) + _coef(_sq(1, -1), _x(1, -1)), "0"),
+    ("coef sum cancels in part", lambda: _coef(_sq(), _x()) + _coef(_sq(1, -1), _x(2)),
+     "x+x^2"),
+    ("poly sum cancels",
+     lambda: PolyT({0: 1, 1: _sq()}) + PolyT({0: -1, 1: _sq(1, -1)}), "0"),
+    ("poly sum cancels in part",
+     lambda: PolyT({0: 1, 1: _sq()}) - PolyT({1: _sq(), 2: _x()}), "1 - x*T^2"),
+    ("eval at T = 0", lambda: PolyT({0: _sq(), 2: 5}).eval_coef(Coef.zero()), "q^(1/2)"),
+    ("eval zero poly", lambda: PolyT.zero().eval_coef(Coef.one()), "0"),
+    ("eval at T = 1", lambda: PolyT({0: 1, 1: _sq(), 3: _x()}).eval_coef(Coef.one()),
+     "1+q^(1/2)+x"),
+    ("eval at a coef",
+     lambda: PolyT({1: 1, 2: _x(-1), 4: 2}).eval_coef(_coef(_sq(), _x())),
+     "3*x^-1+18+3*q^(1/2)+2*x+24*x*q^(1/2)+36*x^2+8*x^3*q^(1/2)+2*x^4"),
+    ("subst T by q^(1/2)",
+     lambda: PolyT({0: 1, 1: _x(), 2: 1, 5: _sq()}).subst_T_scale(_sq()),
+     "1 + x*q^(1/2)*T + 3*T^2 + 27*T^5"),
+    ("subst T by q^(-1/2)", lambda: PolyT({0: 1, 1: _x(), 3: _sq()}).subst_T_scale(_sq(-1)),
+     "1 + 1/3*x*q^(1/2)*T + 1/3*T^3"),
+    ("specialize x at 0", lambda: _coef(_sq(), _x(), _x(2)).specialize_x(0), "q^(1/2)"),
+    ("specialize x at 0, pole", lambda: _coef(_sq(), _x(-1)).specialize_x(0), "DomainError"),
+    ("specialize x without pole",
+     lambda: _coef(_sq(), _x(-1, 2), _x(2), _x(0, root=(1, 3))).specialize_x(Fraction(-1, 2)),
+     "-15/4+zeta(1,3)+q^(1/2)"),
+    ("specialize x cancels", lambda: _coef(_x(), _x(2)).specialize_x(-1), "0"),
+]
+
+
+@pytest.mark.parametrize("make, want", [case[1:] for case in T_SIDE],
+                         ids=[case[0] for case in T_SIDE])
+def test_t_side_output_pinned(make, want):
+    assert _render_or_error(make) == want

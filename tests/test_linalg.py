@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_unramified_rep, seeded
 from llct import session
 from llct.dsl import parse_wd
-from llct.exact import DomainError, PolyT, Scalar, det_char
+from llct.exact import Coef, DomainError, PolyT, Scalar, det_char
 from llct.linalg import (FE, FieldFE, FieldQ, QPoly, RatX, charpoly, identity,
                          kernel, mat_inverse, mat_mul, mat_vec,
                          monomial_roots_fe, poly_divmod_f, poly_gcd_f,
@@ -81,6 +81,37 @@ def test_charpoly_matches_det_char_reversed():
         entries = [[Scalar.from_rational(e) for e in row] for row in phi]
         # det(1 - M*T) = T^n det(T^-1 - M): the coefficients reversed
         assert det_char(entries) == PolyT({n - d: c for d, c in enumerate(cp)})
+
+
+def _coef_to_fe(c):
+    """A plain Coef as an element of Q(x)(sqrt q), one term at a time."""
+    out = FieldFE.zero
+    for (r, o, h, x), v in c.terms.items():
+        out = out + scalar_to_fe(Scalar(r, o, h, {x: v}))
+    return out
+
+
+# half the entries zero: a dense 4 x 4 charpoly over FieldFE takes about 0.2 s
+_ENTRY = st.one_of(st.just((0, 0, 0)),
+                   st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                             st.integers(-2, 2), st.sampled_from([-1, 0, 1])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 4, 9]),
+       st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(_ENTRY, min_size=n, max_size=n),
+                                                    min_size=n, max_size=n)))
+def test_det_char_matches_charpoly_over_fe(q, rows):
+    """det(1 - M*T), a subset expansion over Coef, against the reversed
+    Hessenberg charpoly over Q(x)(sqrt q), entries c * q^(h/2) * x^k."""
+    session.set_q(q)
+    M = [[Scalar.make(c, qexp2=h, xexp=k) for c, h, k in row] for row in rows]
+    n = len(M)
+    cp = charpoly(FieldFE, [[scalar_to_fe(s) for s in row] for row in M])
+    dc = det_char(M)
+    assert max(dc.coeffs, default=0) <= n
+    for d in range(n + 1):
+        assert _coef_to_fe(dc.coeffs.get(d, Coef.zero())) == cp[n - d], (q, rows, d)
 
 
 def test_charpoly_of_conjugated_realizations_over_fe():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import seeded
 from llct import session, zeta
-from llct.exact import Coef, Scalar
+from llct.exact import Coef, DomainError, Scalar, TruncSeriesT
 from llct.zeta import (SatakeData, UncertifiedTruncation,
                        gl2_gamma_functional_equation_check, homogeneous_table,
                        invariant_pairing_check, schur_from_table, whittaker_value,
@@ -439,6 +439,25 @@ def test_quarter_shift_is_rejected():
         zeta_gl_n_gl1(sat(2, 3), Fraction(1, 4), 10)
     with pytest.raises(ValueError):
         zeta_gl_n_gl_n(sat(2, 3), sat(5, 7), Fraction(1, 4), 10)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SatakeData((rat(2), Scalar.zero())), "Satake parameters must be invertible"),
+    (lambda: SatakeData((Scalar.opaque("u"),)), "Satake parameters must be invertible"),
+    (lambda: whittaker_value(sat(2), (1, 0)), "cocharacter length must equal n"),
+    (lambda: whittaker_value(SatakeData((Scalar.from_xpoly({0: 1, 1: 1}),)), (-1,)),
+     "inexact coefficient division"),
+    (lambda: zeta_gl_n_gl1(sat(2, 3), Fraction(1, 4), 10), "shift m must be a half-integer"),
+    (lambda: zeta_gl_n_gl1(sat(2, 3), Fraction(-1, 2), 0), "bound must be >= 1"),
+    (lambda: zeta_gl_n_gl_n(sat(2, 3), sat(5, 7), Fraction(-3, 2), 0), "bound must be >= 1"),
+    (lambda: zeta_gl_n_gl_n(sat(2, 3), sat(5), Fraction(-1, 2), 5), "equal ranks required"),
+    (lambda: invariant_pairing_check(sat(2), 19), "bound >= 20 required"),
+    (lambda: Scalar.root_of_unity(1, 0), "root-of-unity order must be positive"),
+    (lambda: TruncSeriesT(3, 2), "empty series window"),
+])
+def test_user_facing_errors_are_domain_errors(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------
