@@ -1,7 +1,7 @@
-"""Command-line interface: `llct VERB ...` with deterministic JSON output.
+"""Command-line interface: `llct VERB ...` with one line of JSON output.
 
-Exit codes: 0 ok, 2 parse error, 3 math-domain error, 4 uncertified
-truncation.
+Exit codes: 0 ok, 1 internal fault (`"error": "internal"`, no traceback),
+2 parse error, 3 math-domain error, 4 uncertified truncation.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 # Every llct module is imported here, eagerly: after `import llct.cli`,
 # perfbench's in-process workloads read them all from sys.modules.
 from . import session
-from .dsl import ParseError, SemanticError, parse_wd, parse_scalar, parse_matrix
+from .dsl import ParseError, SemanticError, parse_wd, parse_scalars, parse_matrix
 from .exact import DomainError
 from .factors import (epsilon, epsilon_ratio_check, gamma, l_inverse,
                       l_ss_inverse, rs_l_inverse, sign_constancy_check)
@@ -27,6 +27,7 @@ from .zeta import (SatakeData, UncertifiedTruncation, invariant_pairing_check,
                    zeta_gl_n_gl_n)
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_UNCERTIFIED = 4
@@ -39,7 +40,7 @@ def _emit(obj) -> None:
 
 
 def _parse_params(text: str) -> SatakeData:
-    return SatakeData(tuple(parse_scalar(p.strip()) for p in text.split(",")))
+    return SatakeData(parse_scalars(text))
 
 
 def _rational(text: str) -> Fraction:
@@ -78,39 +79,48 @@ def _parse_q(text: str) -> int:
 
 
 def cmd_classify(args):
-    r = parse_wd(args.expr)
-    _emit(extended_point_of(r).render())
+    return extended_point_of(parse_wd(args.expr)).render()
 
 
 def cmd_llc(args):
-    r = parse_wd(args.expr)
-    ms = llc_gen(r)
-    _emit({"segments": [s.render() for s in ms.segments],
-           "ordering_mode": ms.ordering_mode.value,
-           "generic_irreducible": is_generic_irreducible(ms)})
+    ms = llc_gen(parse_wd(args.expr))
+    return {"segments": [s.render() for s in ms.segments],
+            "ordering_mode": ms.ordering_mode.value,
+            "generic_irreducible": is_generic_irreducible(ms)}
 
 
 def cmd_L(args):
-    _emit({"L_inverse": l_inverse(parse_wd(args.expr)).render()})
+    return {"L_inverse": l_inverse(parse_wd(args.expr)).render()}
 
 
 def cmd_Lss(args):
-    _emit({"Lss_inverse": l_ss_inverse(parse_wd(args.expr)).render()})
+    return {"Lss_inverse": l_ss_inverse(parse_wd(args.expr)).render()}
+
+
+def cmd_gamma(args):
+    rf, unit = gamma(parse_wd(args.expr))
+    return {"gamma": rf.render(), "unit": unit.render()}
+
+
+def cmd_eps(args):
+    return epsilon(parse_wd(args.expr)).render()
+
+
+# The verbs that read one expression: name -> (help, handler).
+EXPR_VERBS = {
+    "classify": ("extended Bernstein point of a rep", cmd_classify),
+    "llc": ("generic Langlands multisegment", cmd_llc),
+    "L": ("inverse L-factor", cmd_L),
+    "Lss": ("semisimple inverse L-factor", cmd_Lss),
+    "gamma": ("gamma factor (ratio of Lss, unit)", cmd_gamma),
+    "eps": ("epsilon factor (unit, conductor)", cmd_eps),
+}
 
 
 def cmd_rsL(args):
     r1, r2 = parse_wd(args.expr1), parse_wd(args.expr2)
     shift2 = int(2 * _half(args.shift))
-    _emit({"RS_L_inverse": rs_l_inverse(r1, r2, shift2).render()})
-
-
-def cmd_gamma(args):
-    rf, unit = gamma(parse_wd(args.expr))
-    _emit({"gamma": rf.render(), "unit": unit.render()})
-
-
-def cmd_eps(args):
-    _emit(epsilon(parse_wd(args.expr)).render())
+    return {"RS_L_inverse": rs_l_inverse(r1, r2, shift2).render()}
 
 
 def cmd_zeta(args):
@@ -119,20 +129,18 @@ def cmd_zeta(args):
     if args.n1 != d1.n:
         raise SemanticError(f"--n1 {args.n1} does not match {d1.n} parameters")
     if args.n2 == 1:
-        res = zeta_gl_n_gl1(d1, m, args.bound, strict=True)
-    elif args.n2 == args.n1:
-        if not args.params2:
-            raise SemanticError("--params2 required for the equal-rank integral")
-        d2 = _parse_params(args.params2)
-        res = zeta_gl_n_gl_n(d1, d2, m, args.bound, strict=True)
-    else:
+        return zeta_gl_n_gl1(d1, m, args.bound, strict=True).render()
+    if args.n2 != args.n1:
         raise SemanticError("supported ranks: n2 = 1 or n2 = n1")
-    _emit(res.render())
+    if not args.params2:
+        raise SemanticError("--params2 required for the equal-rank integral")
+    d2 = _parse_params(args.params2)
+    return zeta_gl_n_gl_n(d1, d2, m, args.bound, strict=True).render()
 
 
 def cmd_pairing(args):
     d = _parse_params(args.params)
-    _emit({"ok": invariant_pairing_check(d, args.bound)})
+    return {"ok": invariant_pairing_check(d, args.bound)}
 
 
 def cmd_family_check(args):
@@ -142,21 +150,20 @@ def cmd_family_check(args):
     else:
         fam = WDFamily(rep=parse_wd(args.expr))
     res = check_interpolation(fam, args.at)
-    _emit({"at": str(args.at), "result": res.value})
+    return {"at": str(args.at), "result": res.value}
 
 
 def cmd_oracle(args):
     reps = [parse_wd(e) for e in args.exprs]
     if args.mode == "roundtrip":
         back = classify(realize(reps[0]))
-        _emit({"input": reps[0].render(), "classified": back.render(),
-               "ok": back == reps[0]})
-        return
+        return {"input": reps[0].render(), "classified": back.render(),
+                "ok": back == reps[0]}
     structured = tensor(*reps)
     oracle_side = classify(tensor_matrix(*map(realize, reps)))
-    _emit({"structured": structured.render(),
-           "oracle": oracle_side.render(),
-           "agree": structured == oracle_side})
+    return {"structured": structured.render(),
+            "oracle": oracle_side.render(),
+            "agree": structured == oracle_side}
 
 
 class _OracleExprs(argparse.Action):
@@ -172,17 +179,15 @@ class _OracleExprs(argparse.Action):
 
 def cmd_check(args):
     if args.what == "eps-ratio":
-        _emit({"ok": epsilon_ratio_check(parse_wd(args.expr))})
-        return
+        return {"ok": epsilon_ratio_check(parse_wd(args.expr))}
     if args.what == "sign":
         fam = WDFamily(rep=parse_wd(args.expr), bad_points=args.bad)
         rep = sign_constancy_check(fam)
-        _emit({"ok": rep.ok,
-               "signs": {str(a): s for a, s in rep.signs.items()},
-               "skipped": len(rep.skipped)})
-        return
+        return {"ok": rep.ok,
+                "signs": {str(a): s for a, s in rep.signs.items()},
+                "skipped": len(rep.skipped)}
     d = _parse_params(args.params)  # "feq", the last of the choices
-    _emit({"ok": gl2_gamma_functional_equation_check(d, args.bound)})
+    return {"ok": gl2_gamma_functional_equation_check(d, args.bound)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,21 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="residue cardinality (fixed per session, default 3)")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("classify", help="extended Bernstein point of a rep")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("llc", help="generic Langlands multisegment")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_llc)
-
-    p = sub.add_parser("L", help="inverse L-factor")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_L)
-
-    p = sub.add_parser("Lss", help="semisimple inverse L-factor")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_Lss)
+    for name, (help_, fn) in EXPR_VERBS.items():
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("expr")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("rsL", help="Rankin-Selberg inverse L-factor")
     p.add_argument("expr1")
@@ -216,18 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="substitute T -> q^{-shift} T")
     p.set_defaults(fn=cmd_rsL)
 
-    p = sub.add_parser("gamma", help="gamma factor (ratio of Lss, unit)")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_gamma)
-
-    p = sub.add_parser("eps", help="epsilon factor (unit, conductor)")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_eps)
-
     p = sub.add_parser("zeta", help="truncated unramified zeta integral")
     p.add_argument("--n1", type=_positive, required=True)
     p.add_argument("--n2", type=_positive, required=True)
-    p.add_argument("--params", required=True, help="comma-separated scalars")
+    p.add_argument("--params", required=True, help="comma-separated DSL scalars")
     p.add_argument("--params2", default="", help="second Satake tuple (n2=n1)")
     p.add_argument("--m", type=_rational, required=True,
                    help="half-integer shift")
@@ -267,36 +253,32 @@ def build_parser() -> argparse.ArgumentParser:
 def _join_negative_values(argv):
     """Let `--m -1/2` parse: argparse would read the value as a flag."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--m", "--shift", "--at", "--bad") and i + 1 < len(argv) \
-                and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if out and out[-1] in ("--m", "--shift", "--at", "--bad") \
+                and tok.startswith("-"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
     return out
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(_join_negative_values(
+    args = build_parser().parse_args(_join_negative_values(
         list(sys.argv[1:] if argv is None else argv)))
     session.set_q(args.q)
     try:
-        args.fn(args)
+        out, code = args.fn(args), EXIT_OK
     except ParseError as e:
-        _emit({"error": "parse", "message": str(e)})
-        return EXIT_PARSE
+        out, code = {"error": "parse", "message": str(e)}, EXIT_PARSE
     except UncertifiedTruncation as e:
-        _emit({"error": "uncertified", "message": str(e)})
-        return EXIT_UNCERTIFIED
-    except (SemanticError, DomainError, ValueError, ZeroDivisionError) as e:
-        _emit({"error": "domain", "message": str(e)})
-        return EXIT_DOMAIN
-    return EXIT_OK
+        out, code = {"error": "uncertified", "message": str(e)}, EXIT_UNCERTIFIED
+    except (SemanticError, DomainError) as e:
+        out, code = {"error": "domain", "message": str(e)}, EXIT_DOMAIN
+    except Exception as e:  # an internal fault, not a property of the input
+        out = {"error": "internal", "message": f"{type(e).__name__}: {e}"}
+        code = EXIT_INTERNAL
+    _emit(out)
+    return code
 
 
 if __name__ == "__main__":

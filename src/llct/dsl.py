@@ -7,6 +7,9 @@ Grammar (documented in docs/dsl.md):
     atomexpr := 'unr(' scalar ')'
               | 'tau(' LABEL ',' kvpairs ')' ['*' 'unr(' scalar ')']
     scalar   := sfactor ('*' sfactor)*
+    scalars  := scalar (',' scalar)*          -- the CLI's --params
+    matrix   := '[' row (',' row)* ']'
+    row      := '[' scalar (',' scalar)* ']'
     sfactor  := RATIONAL | XPOW | 'q^(' HALFINT ')'
               | 'zeta(' INT ',' INT ')' | IDENT | '(' xsum ')' | '-' sfactor
     xsum     := ['-'] xterm (('+'|'-') xterm)*
@@ -289,31 +292,29 @@ class Parser:
         return SpehBlock(atom, alpha, m)
 
     def parse_expr(self) -> WDRep:
-        blocks = [self.parse_term()]
-        while self.peek().kind == "+":
-            self.advance()
-            blocks.append(self.parse_term())
+        blocks = self.parse_list(self.parse_term, "+")
         try:
             return WDRep(blocks)
         except ValueError as e:
             raise SemanticError(str(e)) from e
 
-    def parse_matrix(self) -> list[list[Scalar]]:
+    def parse_list(self, item, sep=",") -> list:
+        """item (sep item)*"""
+        out = [item()]
+        while self.peek().kind == sep:
+            self.advance()
+            out.append(item())
+        return out
+
+    def parse_bracketed(self, item) -> list:
+        """'[' item (',' item)* ']'"""
         self.expect("[")
-        rows = []
-        while True:
-            self.expect("[")
-            row = [self.parse_scalar()]
-            while self.peek().kind == ",":
-                self.advance()
-                row.append(self.parse_scalar())
-            self.expect("]")
-            rows.append(row)
-            if self.peek().kind == ",":
-                self.advance()
-                continue
-            break
+        out = self.parse_list(item)
         self.expect("]")
+        return out
+
+    def parse_matrix(self) -> list[list[Scalar]]:
+        rows = self.parse_bracketed(lambda: self.parse_bracketed(self.parse_scalar))
         if any(len(row) != len(rows) for row in rows):
             raise SemanticError("matrix must be square")
         return rows
@@ -324,22 +325,26 @@ class Parser:
             raise ParseError(f"trailing input {t.text!r}", t.line, t.col, ("end",))
 
 
-def parse_wd(src: str) -> WDRep:
+def _parse(src: str, rule):
+    """rule(parser) over all of src."""
     p = Parser(src)
-    r = p.parse_expr()
+    out = rule(p)
     p.finish()
-    return r
+    return out
+
+
+def parse_wd(src: str) -> WDRep:
+    return _parse(src, Parser.parse_expr)
 
 
 def parse_scalar(src: str) -> Scalar:
-    p = Parser(src)
-    s = p.parse_scalar()
-    p.finish()
-    return s
+    return _parse(src, Parser.parse_scalar)
+
+
+def parse_scalars(src: str) -> tuple[Scalar, ...]:
+    """A comma-separated list of scalars, as `--params` takes them."""
+    return tuple(_parse(src, lambda p: p.parse_list(p.parse_scalar)))
 
 
 def parse_matrix(src: str) -> list[list[Scalar]]:
-    p = Parser(src)
-    m = p.parse_matrix()
-    p.finish()
-    return m
+    return _parse(src, Parser.parse_matrix)

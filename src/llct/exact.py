@@ -246,15 +246,14 @@ class Scalar:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        r = Scalar.one()
-        b = self
+        r, b = None, self  # r starts at the first set bit of e
         while e:
             if e & 1:
-                r = r * b
+                r = b if r is None else r * b
             e >>= 1
             if e:
                 b = b * b
-        return r
+        return Scalar.one() if r is None else r
 
     def specialize_x(self, a) -> "Scalar":
         """Substitute x -> a (a rational)."""
@@ -841,9 +840,8 @@ class TruncSeriesT:
                             {d: c.specialize_x(a) for d, c in self.coeffs.items()})
 
     def render(self):
-        if not self.coeffs:
-            return "0"
-        return _render_t_sum(self.coeffs) + f" + O(T^{self.bound + 1})"
+        tail = f"O(T^{self.bound + 1})"
+        return f"{_render_t_sum(self.coeffs)} + {tail}" if self.coeffs else tail
 
     def __repr__(self):
         return f"TruncSeriesT({self.render()})"

@@ -719,7 +719,7 @@ def monomial_roots_fe(coeffs: list[FE]):
 def scalar_to_fe(s) -> FE:
     """Plain Scalar (no roots of unity, no opaques) to a + b*sqrt(q)."""
     if s.root != TRIVIAL_ROOT or s.opaques:
-        raise ValueError("scalar outside Q(x)(sqrt q): " + s.render())
+        raise DomainError("scalar outside Q(x)(sqrt q): " + s.render())
     shift = min(list(s.xpoly) + [0])
     v = RatX(QPoly({k - shift: c for k, c in s.xpoly.items()}), QPoly({-shift: Q1}))
     return FE(RatX.const(0), v) if s.qh else FE(v)

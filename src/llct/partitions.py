@@ -7,7 +7,7 @@ i, which is how monodromy degenerations are detected.
 
 from __future__ import annotations
 
-from .exact import Record
+from .exact import DomainError, Record
 from .linalg import FieldQ, mat_mul, rank
 
 
@@ -131,7 +131,7 @@ def jordan_type_matrix(N, field=None) -> Partition:
             break
         power = mat_mul(F, power, N)
     if ranks[-1] != 0:
-        raise ValueError("matrix is not nilpotent")
+        raise DomainError("matrix is not nilpotent")
     kernel_dims = [n - r for r in ranks]
     conj = [kernel_dims[i] - kernel_dims[i - 1] for i in range(1, len(kernel_dims))]
     conj = [c for c in conj if c > 0]

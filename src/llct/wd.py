@@ -31,7 +31,7 @@ class InertialAtom(Record):
                  weight: Fraction = Fraction(0), eps_unit: Scalar = None,
                  dual_label: str = None):
         if dim <= 0 or f <= 0 or cond < 0:
-            raise ValueError("invalid atom invariants")
+            raise DomainError("invalid atom invariants")
         self.label = label
         self.dim = dim
         self.f = f
@@ -48,7 +48,7 @@ class InertialAtom(Record):
             if not self.eps_unit.is_one() or self.weight != 0:
                 raise ValueError("unramified atom must have eps=1, weight=0")
         elif self.cond == 0:
-            raise ValueError("ramified atom must have positive conductor")
+            raise DomainError("ramified atom must have positive conductor")
 
     @property
     def unramified(self) -> bool:

@@ -385,7 +385,7 @@ T_SIDE = [
      "-x*zeta(1,4)*q^(1/2)*T + (zeta(1,3)+q^(1/2))*T^2"),
     ("ratfunc", lambda: RatFuncT(PolyT({0: 1, 1: -2}), PolyT({0: 1, 1: _sq()})),
      "(1/3*q^(1/2) - 2/3*q^(1/2)*T) / (1/3*q^(1/2) + T)"),
-    ("series zero", lambda: TruncSeriesT(0, 3), "0"),
+    ("series zero", lambda: TruncSeriesT(0, 3), "O(T^4)"),
     ("series constant", lambda: TruncSeriesT(0, 3, {0: 1}), "1 + O(T^4)"),
     ("series 1 at T and T^d", lambda: TruncSeriesT(0, 3, {0: 1, 1: 1, 3: 1}),
      "1 + T + T^3 + O(T^4)"),

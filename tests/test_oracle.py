@@ -327,7 +327,7 @@ def test_lift_rejects_root_of_unity_entries():
     for phi in ([[z]], [[z, 0], [0, _X]], [[_X, 0], [0, z]]):
         with pytest.raises(ValueError) as ei:
             MatrixWD.make(phi, _zero(len(phi)))
-        assert type(ei.value) is ValueError and str(ei.value) == message
+        assert type(ei.value) is DomainError and str(ei.value) == message
     mq = MatrixWD.make([[2, 0], [0, 5]], _zero(2))
     with pytest.raises(ValueError) as ei:
         mq.conjugate([[1, z], [0, 1]])
