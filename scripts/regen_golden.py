@@ -57,6 +57,10 @@ COMMANDS = [
     ["oracle", "roundtrip", "Sp(unr(zeta(1,3)*x),1)"],
     ["zeta", "--n1", "2", "--n2", "2", "--params", "2,3", "--params2", "5,7",
      "--m", "-3/2", "--bound", "2"],
+    ["family-check", "--matrix", "[[0,x^-1,1],[0,0,(1+x)],[0,0,0]]", "--at", "-1"],
+    ["family-check", "--matrix",
+     "[[0,x,0,1],[0,0,(x-1),x^2],[0,0,0,2*x],[0,0,0,0]]", "--at", "1"],
+    ["family-check", "--matrix", "[[0,q^(1/2)],[0,0]]", "--at", "1"],
 ]
 
 

@@ -21,7 +21,7 @@ from .factors import (epsilon, epsilon_ratio_check, gamma, l_inverse,
 from .oracle import classify, realize, tensor_matrix
 from .points import extended_point_of
 from .segments import is_generic_irreducible, llc_gen
-from .wd import WDFamily, check_interpolation, tensor
+from .wd import FIBRE_BUDGET, WDFamily, check_interpolation, tensor
 from .zeta import (SatakeData, UncertifiedTruncation, invariant_pairing_check,
                    gl2_gamma_functional_equation_check, zeta_gl_n_gl1,
                    zeta_gl_n_gl_n)
@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family-check", help="monodromy interpolation at a point")
     p.add_argument("expr", nargs="?", default="")
-    p.add_argument("--matrix", default="", help="nilpotent matrix over Q[x]")
+    p.add_argument("--matrix", default="", help="nilpotent matrix over Q[x, 1/x]; its "
+                   f"generic type is certified on at most {FIBRE_BUDGET} special fibres")
     p.add_argument("--at", type=_rational, required=True,
                    help="rational specialization point")
     p.set_defaults(fn=cmd_family_check)
@@ -250,12 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _join_negative_values(argv):
-    """Let `--m -1/2` parse: argparse would read the value as a flag."""
+def _join_negative_values(ap, argv):
+    """Let `--m -1/2` and `--params -2*x` parse: argparse reads a value that
+    begins with '-' as a flag, unless it is joined to its one-value option."""
+    verbs = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    options = {s for p in (ap, *verbs.choices.values()) for a in p._actions
+               if a.nargs is None for s in a.option_strings}
     out = []
     for tok in argv:
-        if out and out[-1] in ("--m", "--shift", "--at", "--bad") \
-                and tok.startswith("-"):
+        if out and out[-1] in options and tok.startswith("-"):
             out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
@@ -263,8 +267,9 @@ def _join_negative_values(argv):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_join_negative_values(
-        list(sys.argv[1:] if argv is None else argv)))
+    ap = build_parser()
+    args = ap.parse_args(_join_negative_values(
+        ap, list(sys.argv[1:] if argv is None else argv)))
     session.set_q(args.q)
     try:
         out, code = args.fn(args), EXIT_OK

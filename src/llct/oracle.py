@@ -364,8 +364,8 @@ def _col(mat, j):
 def generic_rank_profile(n_rows, sample_points):
     """Jordan type over Q(x) and at the given rational sample points.
 
-    Entries are plain Scalars (Laurent polynomials in x); the generic
-    type uses ranks over the rational-function field.
+    Entries lie in Q[x, 1/x]; the generic type is read from the special
+    fibres x = 1..M that certify it (wd.family_jordan_generic).
     """
     fam = WDFamily(matrix_n=n_rows)
     generic = family_jordan_generic(fam).as_dict()[UNRAMIFIED_LABEL]

@@ -8,7 +8,7 @@ i, which is how monodromy degenerations are detected.
 from __future__ import annotations
 
 from .exact import DomainError, Record
-from .linalg import FieldQ, mat_mul, rank
+from .linalg import FieldQ, mat_mul, row_echelon
 
 
 class Partition(Record):
@@ -47,6 +47,12 @@ class Partition(Record):
         """rk N^i for i = 0..total, for N of this Jordan type."""
         m = self.total
         return [sum(max(p - i, 0) for p in self.parts) for i in range(m + 1)]
+
+    @staticmethod
+    def from_rank_sequence(ranks) -> "Partition":
+        """Inverse of rank_sequence: the conjugate parts are rk N^(i-1) - rk N^i."""
+        conj = [a - b for a, b in zip(ranks, ranks[1:]) if a > b]
+        return Partition(tuple(conj)).conjugate()
 
     def render(self) -> str:
         return "[" + ",".join(map(str, self.parts)) + "]"
@@ -113,26 +119,16 @@ def enumerate_partitions(m: int) -> list[Partition]:
     return sorted((Partition(p) for p in gen(m, m)), key=lambda p: p.parts)
 
 
-def jordan_type_matrix(N, field=None) -> Partition:
-    """Jordan type of a nilpotent matrix over the given field.
-
-    Part data is recovered from the rank sequence: the conjugate partition
-    has parts dim Ker N^i - dim Ker N^{i-1}.
-    """
-    n = len(N)
-    if n == 0:
-        return Partition(())
-    F = field or FieldQ
-    power = N
-    ranks = [n]
-    for _ in range(n):
-        ranks.append(rank(F, power))
-        if ranks[-1] == 0:
+def jordan_type_matrix(N) -> Partition:
+    """Jordan type of a nilpotent matrix over Q, from its rank sequence; the
+    row space of N^k is an echelon basis of that of N^(k-1), times N."""
+    basis, ranks = N, [len(N)]
+    for _ in range(len(N)):
+        basis = row_echelon(FieldQ, basis)[0]
+        ranks.append(len(basis))
+        if not basis:
             break
-        power = mat_mul(F, power, N)
+        basis = mat_mul(FieldQ, basis, N)
     if ranks[-1] != 0:
         raise DomainError("matrix is not nilpotent")
-    kernel_dims = [n - r for r in ranks]
-    conj = [kernel_dims[i] - kernel_dims[i - 1] for i in range(1, len(kernel_dims))]
-    conj = [c for c in conj if c > 0]
-    return Partition(tuple(conj)).conjugate()
+    return Partition.from_rank_sequence(ranks)

@@ -231,6 +231,19 @@ def test_rational_options_accept_negative_values(argv, expected):
         assert json.loads(out) == expected
 
 
+@pytest.mark.parametrize("n1, params, params2", [
+    ("1", "-2*x", "1"), ("1", "1", "-2*x"), ("2", "-3,2", ""), ("2", "-3,2", "-1,5"),
+])
+def test_params_values_may_begin_with_a_minus_sign(n1, params, params2):
+    argv = ["zeta", "--n1", n1, "--n2", n1 if params2 else "1", "--m", "0",
+            "--bound", "6"]
+    joined = argv + [f"--params={params}"] + ([f"--params2={params2}"] if params2 else [])
+    spaced = argv + ["--params", params] + (["--params2", params2] if params2 else [])
+    code, out = run(joined)
+    assert code == 0, out
+    assert run(spaced) == (code, out)
+
+
 def test_m_must_still_be_a_half_integer():
     code, out = run(["zeta", "--n1", "2", "--n2", "1", "--params", "2,5",
                      "--m", "1/3", "--bound", "8"])

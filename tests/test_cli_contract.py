@@ -129,13 +129,11 @@ def scalar_lists(max_len=3):
     return st.lists(scalars, min_size=1, max_size=max_len).map(",".join)
 
 
-# x^-1 and q^(1/2) entries only up to 2x2: the rank of a dense 3x3 power
-# over Q(x)(sqrt q) can take 20 s (CHANGES.md, FOUND: family-check)
-QX_ENTRIES = ["0", "1", "x", "2*x", "-x^2", "1/2", "1/0"]
-FE_ENTRIES = QX_ENTRIES + ["x^-1", "q^(1/2)"]
-matrices = st.integers(1, 3).flatmap(lambda n: st.lists(
-    st.lists(st.sampled_from(FE_ENTRIES if n < 3 else QX_ENTRIES),
-             min_size=n, max_size=n + (n < 3)),  # a longer row: not square
+# Laurent and q^(1/2) entries at every size up to 4x4
+ENTRIES = ["0", "1", "x", "2*x", "-x^2", "1/2", "1/0", "x^-1", "q^(1/2)"]
+matrices = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from(ENTRIES),
+             min_size=n, max_size=n + 1),  # a longer row: not square
     min_size=n, max_size=n)).map(
         lambda rows: "[" + ",".join("[" + ",".join(r) + "]" for r in rows) + "]")
 

@@ -104,6 +104,12 @@ def test_dominance_equals_rank_comparison():
                 assert rank_leq == dominance_leq(t, u)
 
 
+def test_rank_sequence_round_trips():
+    for m in range(7):
+        for t in enumerate_partitions(m):
+            assert Partition.from_rank_sequence(t.rank_sequence()) == t
+
+
 def test_jordan_type_conjugation_invariance():
     import random
     rng = random.Random(7)

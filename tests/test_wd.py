@@ -1,18 +1,22 @@
 """Structured Weil-Deligne operations, pinned against the matrix oracle."""
 
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_unramified_rep, seeded, RAMIFIED_ATOMS
+from llct.dsl import parse_matrix
 from llct.exact import DomainError, Scalar
+from llct.linalg import FieldFE, mat_mul, rank, scalar_to_fe
 from llct.oracle import (classify, dual_matrix, monodromy_filtration, realize,
                          tensor_matrix, twist_matrix)
 from llct.partitions import MultiPartition, Partition, dominance_leq_multi
-from llct.wd import (InterpolationResult, SpehBlock, WDFamily, WDRep,
-                     check_interpolation, diag_entries, dual, inertia_invariants,
-                     is_pure, jordan_data, pure_weight, sp, specialize, tensor,
-                     twist, UNR)
+from llct.wd import (FIBRE_BUDGET, InterpolationResult, SpehBlock, WDFamily, WDRep,
+                     check_interpolation, diag_entries, dual, family_jordan_at,
+                     family_jordan_generic, inertia_invariants, is_pure, jordan_data,
+                     pure_weight, sp, specialize, tensor, twist, UNR)
 
 
 def rat(v):
@@ -233,3 +237,95 @@ def test_semicontinuity_random_families():
             if spc != gen:
                 drops += 1
         assert drops <= 3 * size  # minor degree bound
+
+
+# -- generic fibre of a matrix family --------------------------------------------
+
+def _ranks_over_fe(rows):
+    """rk N^k for k = 0..n over Q(x)(sqrt q), the field the generic type was
+    once computed in."""
+    mat = [[scalar_to_fe(e) for e in row] for row in rows]
+    ranks, power = [len(mat)], mat
+    for _ in mat:
+        ranks.append(rank(FieldFE, power))
+        power = mat_mul(FieldFE, power, mat)
+    return ranks
+
+
+_laurent = st.dictionaries(st.integers(-2, 3), st.integers(-3, 3), max_size=3)
+
+
+@st.composite
+def _families(draw):
+    """Strictly upper triangular, maybe given a diagonal entry (then it is
+    nilpotent only when that entry is 0), maybe conjugated by a constant
+    unimodular matrix (elementary row and column operations)."""
+    n = draw(st.integers(1, 4))
+    rows = [[draw(_laurent) if j > i else {} for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        rows[i][i] = draw(_laurent)
+    if draw(st.booleans()):
+        ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+        for i, j, c in draw(st.lists(ops, min_size=1, max_size=2 * n)):
+            if i == j:
+                continue
+            # N -> E N E^-1 with E = 1 + c e_ij: row i += c row j, column j -= c column i
+            for k in range(n):
+                for d, v in rows[j][k].items():
+                    rows[i][k][d] = rows[i][k].get(d, 0) + c * v
+            for k in range(n):
+                for d, v in rows[k][i].items():
+                    rows[k][j][d] = rows[k][j].get(d, 0) - c * v
+    return tuple(tuple(Scalar.from_xpoly(e) for e in row) for row in rows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_families())
+def test_generic_type_matches_ranks_over_q_x_sqrt_q(rows):
+    fam = WDFamily(matrix_n=rows)
+    want = _ranks_over_fe(rows)
+    if want[-1]:
+        with pytest.raises(DomainError, match="matrix is not nilpotent"):
+            family_jordan_generic(fam)
+    else:
+        assert family_jordan_generic(fam).as_dict()["1"].rank_sequence() == want
+
+
+def test_non_nilpotent_dense_family_fails_fast():
+    # a dense 3 x 3 Laurent matrix whose rank over Q(x)(sqrt q) took seconds
+    fam = WDFamily(matrix_n=tuple(tuple(r) for r in parse_matrix(
+        "[[-x^2,1/2,-x^2],[1/2,x^-1,3],[2*x,3,1/2]]")))
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="matrix is not nilpotent"):
+        family_jordan_generic(fam)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_family_with_exponent_spread_12_is_certified_quickly():
+    rng = seeded(22)
+    n = 8
+    rows = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            lo = rng.randint(-4, 8)
+            hi = rng.randint(lo, 8)
+            rows[i][j] = {d: rng.randint(-3, 3) for d in range(lo, hi + 1)}
+    rows[0][n - 1] = {-4: 1, 8: 1}  # the exponent spread is exactly 12
+    fam = WDFamily(matrix_n=tuple(tuple(Scalar.from_xpoly(e) for e in r) for r in rows))
+    t0 = time.perf_counter()
+    generic = family_jordan_generic(fam)  # from 193 special fibres
+    assert time.perf_counter() - t0 < 5
+    assert generic.as_dict()["1"] == Partition.of(8)
+    for a in (-1, 1, 2, Fraction(1, 2)):
+        assert dominance_leq_multi(family_jordan_at(fam, a), generic)
+
+
+def test_family_beyond_the_fibre_budget_is_a_fast_domain_error():
+    entry = Scalar.from_xpoly({0: 1, 200: 1})  # spread 200: M = 2 * 200 + 1
+    fam = WDFamily(matrix_n=((Scalar.zero(), entry), (Scalar.zero(), Scalar.zero())))
+    t0 = time.perf_counter()
+    want = f"needs 401 special fibres, budget {FIBRE_BUDGET}"
+    with pytest.raises(DomainError, match=want):
+        family_jordan_generic(fam)
+    assert time.perf_counter() - t0 < 0.1
