@@ -680,38 +680,16 @@ def poly_divides(a: PolyT, b: PolyT) -> bool:
 
 
 def det_char(matrix) -> PolyT:
-    """det(1 - M*T) for a square matrix of Scalars, by subset expansion.
-
-    Division-free, so it works over the full coefficient ring; opaque
-    units are rejected since they preclude later evaluation.
+    """det(1 - M*T) for a square matrix of Scalars: T^n det(X - M) at
+    X = 1/T, from the division-free `linalg.charpoly` over Coef, so it
+    works over the full coefficient ring; opaque units are rejected since
+    they preclude later evaluation.
     """
-    n = len(matrix)
-    for row in matrix:
-        for s in row:
-            if s.has_opaque():
-                raise DomainError("det_char: opaque unit entries unsupported")
-    # A = 1 - M*T, entries as PolyT
-    A = [[PolyT({0: Coef.one() if i == j else Coef.zero(),
-                 1: -Coef.from_scalar(matrix[i][j])})
-          for j in range(n)] for i in range(n)]
-    # determinant by column-subset dynamic programming over the rows
-    dets = {0: PolyT.one()}
-    for i in range(n):
-        new: dict[int, PolyT] = {}
-        for mask, val in dets.items():  # the masks of i columns
-            sign = 1
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                term = val * A[i][j]
-                if sign < 0:
-                    term = -term
-                k = mask | bit
-                new[k] = new.get(k, PolyT.zero()) + term
-                sign = -sign
-        dets = new
-    return dets.get((1 << n) - 1, PolyT.one() if n == 0 else PolyT.zero())
+    from .linalg import FieldK, charpoly
+    if any(s.has_opaque() for row in matrix for s in row):
+        raise DomainError("det_char: opaque unit entries unsupported")
+    cp = charpoly(FieldK, [[Coef.from_scalar(s) for s in row] for row in matrix])
+    return PolyT(dict(enumerate(reversed(cp))))
 
 
 # ---------------------------------------------------------------------------

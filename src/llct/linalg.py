@@ -6,8 +6,9 @@ Matrices live over one of two explicit fields:
   * Q(x)(sqrt q) -- elements a + b*sqrt(q) with a, b rational functions of x.
 
 Everything is generic over one field protocol, the `Field` class with
-its two instances `FieldQ` and `FieldFE`, so the elimination, kernel and
-characteristic-polynomial code is written once.  So is Euclid:
+its two instances `FieldQ` and `FieldFE`, so the elimination and kernel
+code is written once.  So is the characteristic polynomial, Berkowitz's
+division-free `charpoly`, which also serves exact.det_char.  So is Euclid:
 `poly_divmod_f` / `poly_gcd_f` divide polynomials over either field, and
 `QPoly` (the x-polynomials inside Q(x)) divides with them over `FieldQ`.
 
@@ -256,7 +257,9 @@ def _k_inv(c):
 
 
 # K = Q(sqrt q), its elements the x-free plain Coefs: the coefficient field
-# of the x-polynomials inside T-polynomials (exact.py)
+# of the x-polynomials inside T-polynomials (exact.py).  Its operators are
+# Coef's own, and charpoly never inverts, so exact.det_char runs charpoly
+# over FieldK on any Coef, roots of unity included.
 FieldK = Field(Coef.zero(), Coef.one(), _k_inv, Coef.is_zero, Coef.from_rational)
 
 
@@ -374,59 +377,44 @@ def mat_inverse(F, M):
 def charpoly(F, M):
     """Coefficients [c_0, ..., c_n] of det(X*I - M); M is not modified.
 
-    M is reduced to upper Hessenberg form H by similarity transforms, and
-    the characteristic polynomials p_k of the leading k x k blocks of H
-    follow from the recurrence (Cohen, GTM 138, Alg. 2.2.9)
-
-        p_{k+1} = (X - h_kk) p_k - sum_{i<k} h_ik h_{i+1,i} ... h_{k,k-1} p_i
-
-    in O(n^3) field operations.
+    Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984):
+    with A the leading k x k block, R and S the rest of row and column k,
+    p_{k+1} = (X - M[k][k]) p_k - sum_{i>=1} (R A^(i-1) S) [X^-i p_k]_+,
+    a Toeplitz sum.  It never calls F.inv, so it serves any commutative
+    ring, in O(n^4) ring operations, and a diagonal M in O(n^2).
     """
     n = len(M)
-    H = [list(r) for r in M]
-    for c in range(n - 2):
-        r = c + 1
-        piv = next((i for i in range(r, n) if not F.is_zero(H[i][c])), None)
-        if piv is None:
-            continue
-        if piv != r:
-            H[piv], H[r] = H[r], H[piv]
-            for row in H:
-                row[piv], row[r] = row[r], row[piv]
-        inv = F.inv(H[r][c])
-        for i in range(r + 1, n):
-            if F.is_zero(H[i][c]):
-                continue
-            u = F.mul(H[i][c], inv)
-            # row_i -= u * row_r, then column_r += u * column_i
-            hi, hr = H[i], H[r]
-            for j in range(c, n):
-                if not F.is_zero(hr[j]):
-                    hi[j] = F.sub(hi[j], F.mul(u, hr[j]))
-            for row in H:
-                if not F.is_zero(row[i]):
-                    row[r] = F.add(row[r], F.mul(u, row[i]))
-    p = [[F.one]]
+    p = [F.one]  # p_k, highest degree first
     for k in range(n):
-        nxt = [F.zero] + p[k]
-        _axpy(F, nxt, F.neg(H[k][k]), p[k])
-        t = F.one
-        for i in range(k - 1, -1, -1):
-            t = F.mul(t, H[i + 1][i])
-            if F.is_zero(t):
+        row = M[k]
+        cs = [row[k]]  # c_0, then c_i = R A^(i-1) S until R or A^(i-1) S is 0
+        R = [j for j in range(k) if not F.is_zero(row[j])]
+        v = [M[i][k] for i in range(k)] if R else []
+        while len(cs) <= k:
+            nz = [j for j, e in enumerate(v) if not F.is_zero(e)]
+            if not nz:
                 break
-            _axpy(F, nxt, F.neg(F.mul(H[i][k], t)), p[i])
-        p.append(nxt)
-    return p[n]
+            cs.append(_dot(F, row, v, nz))
+            if len(cs) <= k:
+                v = [_dot(F, M[i], v, nz) for i in range(k)]
+        nxt = p + [F.zero]
+        for i, c in enumerate(cs):
+            if not F.is_zero(c):
+                for j in range(k + 1 - i):
+                    if not F.is_zero(p[j]):
+                        nxt[i + j + 1] = F.sub(nxt[i + j + 1], F.mul(c, p[j]))
+        p = nxt
+    return p[::-1]
 
 
-def _axpy(F, acc, f, poly):
-    """acc += f * poly, coefficientwise (acc at least as long as poly)."""
-    if F.is_zero(f):
-        return
-    for d, c in enumerate(poly):
-        if not F.is_zero(c):
-            acc[d] = F.add(acc[d], F.mul(f, c))
+def _dot(F, row, v, idx):
+    """sum of row[j] * v[j] over the indices idx where row[j] is nonzero."""
+    out = None
+    for j in idx:
+        if not F.is_zero(row[j]):
+            t = F.mul(row[j], v[j])
+            out = t if out is None else F.add(out, t)
+    return F.zero if out is None else out
 
 
 def row_space_basis(F, vectors):

@@ -16,12 +16,12 @@ representation instead: Q(x)(sqrt q) once some alpha involves q^(1/2) or
 x.  Eigenvalues of Phi must be monomials c * q^(h/2) * x^k; general
 characteristic-polynomial factorization is out of scope.
 
-Eigenvalues come from the characteristic polynomial of Phi (Hessenberg
-reduction, O(n^3)), whose roots are found with multiplicity: over Q by
-Loos's p-adic rational-root search (Hensel lifting and rational
-reconstruction, no integer factoring) with exact deflation in Z[X], over
-Q(x)(sqrt q) by one pass over the edges of its Newton polygon in x, whose
-edge polynomials go to the same rational-root search.
+Eigenvalues come from the characteristic polynomial of Phi (Berkowitz,
+division-free, O(n^4) ring operations), whose roots are found with
+multiplicity: over Q by Loos's p-adic rational-root search (Hensel lifting
+and rational reconstruction, no integer factoring) with exact deflation in
+Z[X], over Q(x)(sqrt q) by one pass over the edges of its Newton polygon
+in x, whose edge polynomials go to the same rational-root search.
 """
 
 from __future__ import annotations

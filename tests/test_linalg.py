@@ -13,7 +13,7 @@ from conftest import random_unramified_rep, seeded
 from llct import session
 from llct.dsl import parse_wd
 from llct.exact import Coef, DomainError, PolyT, Scalar, det_char
-from llct.linalg import (FE, FieldFE, FieldQ, QPoly, RatX, charpoly, identity,
+from llct.linalg import (FE, FieldFE, FieldK, FieldQ, QPoly, RatX, charpoly, identity,
                          kernel, mat_inverse, mat_mul, mat_vec,
                          monomial_roots_fe, poly_divmod_f, poly_gcd_f,
                          poly_quot_f, rank, rational_roots, row_echelon,
@@ -91,27 +91,46 @@ def _coef_to_fe(c):
     return out
 
 
-# half the entries zero: a dense 4 x 4 charpoly over FieldFE takes about 0.2 s
-_ENTRY = st.one_of(st.just((0, 0, 0)),
-                   st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=3),
-                             st.integers(-2, 2), st.sampled_from([-1, 0, 1])))
+def _matrices(root):
+    entry = st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                      st.integers(-2, 2), st.sampled_from([-1, 0, 1]), root)
+    return st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def _det_char_against_leibniz(q, rows):
+    """det(1 - M*T) for entries c * zeta(a,N) * q^(h/2) * x^k, against the
+    reversed Leibniz sum over Coef; returns M and det(1 - M*T)."""
+    session.set_q(q)
+    M = [[Scalar.make(c, qexp2=h, xexp=k, root=root) for c, h, k, root in row]
+         for row in rows]
+    n = len(M)
+    dc = det_char(M)
+    assert max(dc.coeffs, default=0) <= n
+    want = leibniz_charpoly(FieldK, [[Coef.from_scalar(s) for s in row] for row in M])
+    for d in range(n + 1):
+        assert dc.coeffs.get(d, Coef.zero()) == want[n - d], (q, rows, d)
+    return M, dc
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 4, 9]), _matrices(st.just((0, 1))))
+def test_det_char_matches_charpoly_over_fe(q, rows):
+    """det(1 - M*T) against the Leibniz sum and against the reversed
+    charpoly over Q(x)(sqrt q), entries c * q^(h/2) * x^k."""
+    M, dc = _det_char_against_leibniz(q, rows)
+    n = len(M)
+    cp = charpoly(FieldFE, [[scalar_to_fe(s) for s in row] for row in M])
+    for d in range(n + 1):
+        assert _coef_to_fe(dc.coeffs.get(d, Coef.zero())) == cp[n - d], (q, rows, d)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([2, 3, 4, 9]),
-       st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(_ENTRY, min_size=n, max_size=n),
-                                                    min_size=n, max_size=n)))
-def test_det_char_matches_charpoly_over_fe(q, rows):
-    """det(1 - M*T), a subset expansion over Coef, against the reversed
-    Hessenberg charpoly over Q(x)(sqrt q), entries c * q^(h/2) * x^k."""
-    session.set_q(q)
-    M = [[Scalar.make(c, qexp2=h, xexp=k) for c, h, k in row] for row in rows]
-    n = len(M)
-    cp = charpoly(FieldFE, [[scalar_to_fe(s) for s in row] for row in M])
-    dc = det_char(M)
-    assert max(dc.coeffs, default=0) <= n
-    for d in range(n + 1):
-        assert _coef_to_fe(dc.coeffs.get(d, Coef.zero())) == cp[n - d], (q, rows, d)
+       _matrices(st.tuples(st.integers(0, 11), st.sampled_from([2, 3, 4, 6, 12]))))
+def test_det_char_with_roots_of_unity_matches_leibniz(q, rows):
+    """Entries c * zeta(a,N) * q^(h/2) * x^k, which Q(x)(sqrt q) cannot hold."""
+    _det_char_against_leibniz(q, rows)
 
 
 def test_charpoly_of_conjugated_realizations_over_fe():

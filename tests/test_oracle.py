@@ -1,5 +1,7 @@
 """Matrix oracle: realization, classification, filtration, rank profiles."""
 
+import random
+import signal
 import time
 from fractions import Fraction
 
@@ -129,6 +131,30 @@ def test_former_cliff_shapes_round_trip_within_budget(expr):
     assert classify(realize(r)) == r
     elapsed = time.time() - t0
     assert elapsed < 5.0, f"too slow: {elapsed:.1f}s"
+
+
+def _too_slow(signum, frame):
+    raise AssertionError("classify of the conjugate took over 20 s")
+
+
+def test_dense_conjugate_over_fe_within_budget():
+    """A 5 x 5 mixing x-, q^(1/2)- and rational eigenvalues, conjugated by
+    a unimodular L*U: classify took over a minute while the characteristic
+    polynomial over Q(x)(sqrt q) divided by pivots."""
+    m = realize(parse_wd("Sp(unr(x),2)+Sp(unr(q^(1/2)),1)+Sp(unr(2),2)"))
+    rng, n = random.Random(2), m.size
+    L = [[1 if i == j else rng.randint(-2, 2) if j < i else 0 for j in range(n)]
+         for i in range(n)]
+    U = [[1 if i == j else rng.randint(-2, 2) if j > i else 0 for j in range(n)]
+         for i in range(n)]
+    P = [[sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(20)
+    try:
+        assert classify(m.conjugate(P)) == classify(m)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_long_block_tensor_within_budget():
