@@ -780,6 +780,15 @@ class TruncSeriesT:
     def from_poly(p: PolyT, bound: int):
         return TruncSeriesT(0, bound, dict(p.coeffs))
 
+    @staticmethod
+    def window(coeffs: dict, bound: int):
+        """The window [0, bound] of a dict of nonzero Coefs at degrees >= 0,
+        copied without coercing or testing each entry."""
+        s = object.__new__(TruncSeriesT)
+        s.low, s.bound = 0, bound
+        s.coeffs = {d: c for d, c in coeffs.items() if d <= bound}
+        return s
+
     def coeff(self, d: int) -> Coef:
         if d < self.low or d > self.bound:
             raise DomainError(f"coefficient at degree {d} outside valid window")
@@ -808,10 +817,6 @@ class TruncSeriesT:
         v = min(p.coeffs)
         ps = TruncSeriesT(v, self.bound - self.low + p.degree(), dict(p.coeffs))
         return self * ps
-
-    def eq_window(self, other):
-        lo, hi = max(self.low, other.low), min(self.bound, other.bound)
-        return all(self.coeff(d) == other.coeff(d) for d in range(lo, hi + 1))
 
     def specialize_x(self, a):
         return TruncSeriesT(self.low, self.bound,

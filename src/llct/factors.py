@@ -13,8 +13,8 @@ import math
 from fractions import Fraction
 
 from .exact import Scalar, PolyT, RatFuncT, Coef, DomainError, Record, poly_divides
-from .wd import (WDRep, WDFamily, dual, twist, inertia_invariants,
-                 diag_entries, specialize, pure_weight, tensor)
+from .wd import (WDRep, WDFamily, dual, twist, inertia_eigenvalues,
+                 specialize, pure_weight, tensor)
 
 
 class LInverse(Record):
@@ -60,15 +60,13 @@ def _l_from_roots(roots) -> LInverse:
 def l_ss_inverse(r: WDRep) -> LInverse:
     """det(1 - Frobenius*T on r^{I_F}): every twist level of every
     unramified block contributes one eigenvalue."""
-    full, _ker = inertia_invariants(r)
-    return _l_from_roots(diag_entries(full))
+    return _l_from_roots(inertia_eigenvalues(r)[0])
 
 
 def l_inverse(r: WDRep) -> LInverse:
     """det(1 - Frobenius*T on Ker(N)^{I_F}): one eigenvalue per unramified
     block, at its last twist level."""
-    _full, ker = inertia_invariants(r)
-    return _l_from_roots(diag_entries(ker))
+    return _l_from_roots(inertia_eigenvalues(r)[1])
 
 
 def rs_l_inverse(r1: WDRep, r2: WDRep, shift_qexp2: int = 0) -> LInverse:
@@ -87,12 +85,11 @@ def _eps_ss(r: WDRep) -> tuple[Scalar, int]:
 
 def _quotient_eigenvalues(r: WDRep) -> list[Scalar]:
     """Frobenius eigenvalues on r^{I_F} / Ker(N)^{I_F} (multiset difference
-    of the two inertia-invariant diagonals)."""
-    full, ker = inertia_invariants(r)
-    out = list(diag_entries(full))
-    for s in diag_entries(ker):
+    of the two sorted eigenvalue lists, so still sorted)."""
+    out, ker = inertia_eigenvalues(r)
+    for s in ker:
         out.remove(s)
-    return sorted(out, key=Scalar.sort_key)
+    return out
 
 
 def _det_neg(eigenvalues) -> Scalar:

@@ -43,9 +43,9 @@ class InertialAtom(Record):
         self.dual_label = label if dual_label is None else dual_label
         if self.unramified:
             if self.dim != 1 or self.f != 1 or self.cond != 0:
-                raise ValueError("unramified atom must have dim=1, f=1, cond=0")
+                raise DomainError("unramified atom must have dim=1, f=1, cond=0")
             if not self.eps_unit.is_one() or self.weight != 0:
-                raise ValueError("unramified atom must have eps=1, weight=0")
+                raise DomainError("unramified atom must have eps=1, weight=0")
         elif self.cond == 0:
             raise DomainError("ramified atom must have positive conductor")
 
@@ -66,9 +66,9 @@ class SpehBlock(Record):
 
     def __init__(self, atom: InertialAtom, alpha: Scalar, m: int):
         if m < 1:
-            raise ValueError("Speh length must be >= 1")
+            raise DomainError("Speh length must be >= 1")
         if alpha.is_zero():
-            raise ValueError("block twist parameter must be invertible")
+            raise DomainError("block twist parameter must be invertible")
         self.atom = atom
         self.alpha = alpha
         self.m = m
@@ -99,7 +99,7 @@ class WDRep:
         for b in blocks:
             prev = atoms.setdefault(b.atom.label, b.atom)
             if prev != b.atom:
-                raise ValueError(f"inconsistent redeclaration of atom {b.atom.label!r}")
+                raise DomainError(f"inconsistent redeclaration of atom {b.atom.label!r}")
         self.blocks = tuple(blocks)
 
     @property
@@ -205,8 +205,8 @@ def tensor(r1: WDRep, r2: WDRep) -> WDRep:
     return WDRep(out)
 
 
-def inertia_invariants(r: WDRep):
-    """Diagonal matrices of Frobenius on r^{I_F} and on Ker(N)^{I_F}.
+def inertia_eigenvalues(r: WDRep) -> tuple[list[Scalar], list[Scalar]]:
+    """Frobenius eigenvalues on r^{I_F} and on Ker(N)^{I_F}, each sorted.
 
     Only unramified atoms contribute; the kernel of N on a Speh block is
     its last twist line.
@@ -220,6 +220,12 @@ def inertia_invariants(r: WDRep):
         ker.append(b.alpha * Scalar.qpow(-2 * (b.m - 1)))
     full.sort(key=Scalar.sort_key)
     ker.sort(key=Scalar.sort_key)
+    return full, ker
+
+
+def inertia_invariants(r: WDRep):
+    """Diagonal matrices of Frobenius on r^{I_F} and on Ker(N)^{I_F}."""
+    full, ker = inertia_eigenvalues(r)
     return _diag(full), _diag(ker)
 
 
@@ -289,7 +295,7 @@ class WDFamily(Record):
     def __init__(self, rep: WDRep = None, matrix_n: tuple = None,
                  bad_points: tuple = ()):
         if (rep is None) == (matrix_n is None):
-            raise ValueError("family needs exactly one of rep / matrix_n")
+            raise DomainError("family needs exactly one of rep / matrix_n")
         if matrix_n is not None:
             matrix_n = tuple(tuple(e for e in row) for row in matrix_n)
         self.rep = rep

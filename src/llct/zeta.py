@@ -40,17 +40,27 @@ set, so the GLn x GLn sum keeps one table of minors per homogeneous table
 and shares it across every lam.
 
 A caller who needs a certificate raises the bound until one holds, so each
-integral keeps one growable state per ladder: L^{-1}, a series source and
-the certified product, each extended only by the degrees a larger bound
-adds.  The source's grow(bound) returns the series coefficients through
-at least degree bound.  For GLn x GL1 the source is the table of h_k
-itself.  For GLn x GLn it holds both tables, their Jacobi-Trudi minors and
-e_n(t1) e_n(t2), and sums the Schur products degree by degree.  A smaller
-bound reads a prefix; the tail of the product is still read on every call.
+integral keeps one growable state per ladder: L^{-1}, a series source, the
+nonzero series and product coefficients by degree, and the lowest nonzero
+product degree above deg L^{-1}, each extended only by the degrees a larger
+bound adds.  The source's grow(bound) returns the series coefficients
+through at least degree bound.  For GLn x GL1 the source is the table of
+h_k itself.  For GLn x GLn it holds both tables, their Jacobi-Trudi minors
+and e_n(t1) e_n(t2), and sums the Schur products degree by degree.  A
+rung's certificate is one comparison with that lowest degree, and its
+result copies a prefix of each dict, so no later rung changes it.
 The key is (q, kind, Satake parameters, m): Scalar normal forms fold
 integer powers of q into the rationals, and q is a session global that can
 change between calls.  At most _LADDERS states are kept, the least
 recently used dropped first.
+
+The functional-equation check keeps gamma as one more state, keyed
+(q, "feq", Satake parameters).  With S_i the two series, L_i^{-1} their
+inverse L-factors and P_i = L_i^{-1} S_i the products, S_1 den = S_0 num
+mod T^(bound+1) holds iff P_1 den L_0^{-1} = P_0 num L_1^{-1} does, since
+L_0^{-1} L_1^{-1} is a unit of the series ring.  P_i is the product's
+window [0, bound], so the check multiplies two polynomials and compares
+them through degree bound, certified or not.
 """
 
 from __future__ import annotations
@@ -223,12 +233,8 @@ class ZetaResult(Record):
         self.certified = certified
 
     def product_is_one(self) -> bool:
-        if not self.certified:
-            return False
-        if not self.product.coeff(0).is_one():
-            return False
-        return all(self.product.coeff(j).is_zero()
-                   for j in range(1, self.product.bound + 1))
+        cs = self.product.coeffs  # nonzero coefficients only
+        return self.certified and list(cs) == [0] and cs[0].is_one()
 
     def render(self):
         return {"series": self.series.render(),
@@ -243,36 +249,44 @@ class UncertifiedTruncation(ValueError):
 
 
 class _Ladder:
-    """One ladder's state: L^{-1}, the series source and the certified
-    product, extended degree by degree."""
+    """One ladder's state: L^{-1}, the series source, and the nonzero series
+    and product coefficients by degree, each computed once."""
 
-    __slots__ = ("l_inv", "source", "product")
+    __slots__ = ("l_inv", "deg", "source", "done", "series", "product", "tail")
 
     def __init__(self, l_inv: PolyT, source):
         self.l_inv = l_inv
+        self.deg = max(l_inv.degree(), 0)
         self.source = source
-        self.product = []
+        self.done = 0  # degrees computed
+        self.series = {}
+        self.product = {}
+        self.tail = math.inf  # lowest nonzero product degree above self.deg
 
     def result(self, bound: int, strict: bool) -> ZetaResult:
-        series = self.source.grow(bound)
-        prod = self.product
-        # L^{-1} = prod (1 - r T) has constant term 1, so the product's
-        # window is [0, bound] like the series'
-        for d in range(len(prod), bound + 1):
-            acc = {}
-            for d2, c2 in self.l_inv.coeffs.items():
-                if d2 <= d:
-                    _mul_acc(acc, series[d - d2].terms, c2.terms)
-            prod.append(_acc_coef(acc))
-        deg = max(self.l_inv.degree(), 0)
-        certified = bound > deg and all(
-            prod[j].is_zero() for j in range(deg + 1, bound + 1))
+        if bound >= self.done:
+            src = self.source.grow(bound)
+            # L^{-1} = prod (1 - r T) has constant term 1, so the product's
+            # window is [0, bound] like the series'
+            for d in range(self.done, bound + 1):
+                if src[d].terms:
+                    self.series[d] = src[d]
+                acc = {}
+                for d2, c2 in self.l_inv.coeffs.items():
+                    if d2 <= d:
+                        _mul_acc(acc, src[d - d2].terms, c2.terms)
+                c = _acc_coef(acc)
+                if c.terms:
+                    self.product[d] = c
+                    if d > self.deg:
+                        self.tail = min(self.tail, d)
+            self.done = bound + 1
+        certified = self.deg < bound < self.tail
         if strict and not certified:
             raise UncertifiedTruncation(
-                f"nonzero product tail beyond degree {deg} within the window")
-        series, product = (TruncSeriesT(0, bound, dict(enumerate(cs[:bound + 1])))
-                           for cs in (series, prod))
-        return ZetaResult(series, self.l_inv, product, bound, certified)
+                f"nonzero product tail beyond degree {self.deg} within the window")
+        return ZetaResult(TruncSeriesT.window(self.series, bound), self.l_inv,
+                          TruncSeriesT.window(self.product, bound), bound, certified)
 
 
 class _SchurPairSums:
@@ -315,11 +329,13 @@ class _SchurPairSums:
         return sums
 
 
-_LADDERS = 8  # states kept; the functional-equation check holds two per rung
+# states kept; the functional-equation check holds three: its two ladders
+# and its gamma, keyed (q, "feq", params)
+_LADDERS = 8
 _states: dict = {}
 
 
-def _ladder(key, make) -> _Ladder:
+def _ladder(key, make):
     """The state under key, made by make() if absent, as most recently used."""
     st = _states.pop(key, None)
     if st is None:
@@ -401,7 +417,8 @@ def invariant_pairing_check(d: SatakeData, bound: int) -> bool:
 def gl2_gamma_functional_equation_check(d: SatakeData, bound: int) -> bool:
     """Functional equation against the GL1 trivial datum: the dual-side
     integral at the shifted lattice point equals gamma times the primal
-    integral, coefficientwise through the certified window.
+    integral, coefficientwise through the window [0, bound], compared
+    through the products as the module docstring shows.
 
     The two lattice points are (1-n)/2 and (1-n)/2 + n: the rational
     normalization's translation of the defining equation's 0 and 1.
@@ -411,9 +428,15 @@ def gl2_gamma_functional_equation_check(d: SatakeData, bound: int) -> bool:
     m1 = m0 + n
     s0 = zeta_gl_n_gl1(d, m0, bound)
     s1 = zeta_gl_n_gl1(d.dual(), m1, bound)
-    rf, unit = gamma(d.rep())
-    if not unit.is_one():
-        raise DomainError("unramified gamma must have trivial unit")
-    lhs = s1.series.mul_poly(rf.den)
-    rhs = s0.series.mul_poly(rf.num)
-    return lhs.eq_window(rhs)
+
+    def make():
+        rf, unit = gamma(d.rep())
+        if not unit.is_one():
+            raise DomainError("unramified gamma must have trivial unit")
+        return rf
+
+    rf = _ladder((get_q(), "feq", d.params), make)
+    lhs = PolyT(s1.product.coeffs) * rf.den * s0.l_inv
+    rhs = PolyT(s0.product.coeffs) * rf.num * s1.l_inv
+    return ({k: c for k, c in lhs.coeffs.items() if k <= bound}
+            == {k: c for k, c in rhs.coeffs.items() if k <= bound})

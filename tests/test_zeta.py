@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import seeded
-from llct import session, zeta
-from llct.exact import Coef, DomainError, Scalar, TruncSeriesT
+from llct import factors, session, zeta
+from llct.exact import Coef, DomainError, PolyT, RatFuncT, Scalar, TruncSeriesT
 from llct.zeta import (SatakeData, UncertifiedTruncation,
                        gl2_gamma_functional_equation_check, homogeneous_table,
                        invariant_pairing_check, schur_from_table, whittaker_value,
@@ -553,3 +553,56 @@ def test_failed_strict_rung_leaves_state_usable():
         warm = call(20)
         assert warm.certified
         assert warm.render() == _cold(lambda: call(20))
+
+
+def test_result_keeps_its_window_as_its_ladder_grows():
+    # a result copies its windows, so later rungs of its ladder, rising or
+    # falling, leave it as it was returned
+    for call in (lambda b: zeta_gl_n_gl1(sat(2, 3), Fraction(-1, 2), b),
+                 lambda b: zeta_gl_n_gl_n(sat(2, 3), sat(5, 7), Fraction(-3, 2), b)):
+        zeta._states.clear()
+        held = [call(20), call(160)]
+
+        def seen():
+            return [(r.render(), list(r.series.coeffs), list(r.product.coeffs))
+                    for r in held]
+
+        before = seen()
+        for bound in (80, 40, 10, 1):
+            call(bound)
+        assert seen() == before
+        assert before[0][0] == _cold(lambda: call(20))
+
+
+feq_data = [
+    sat(2, 3), sat(Fraction(5, 2), -7),
+    SatakeData((Scalar.root_of_unity(1, 3), Scalar.root_of_unity(1, 4) * rat(2))),
+    SatakeData((Scalar.x_power(1, 2), Scalar.x_power(-1) * Scalar.qpow(1))),
+    SatakeData((Scalar.x_power(2, Fraction(1, 3)), rat(5), Scalar.root_of_unity(1, 6)))]
+
+
+@pytest.mark.parametrize("d", feq_data,
+                         ids=lambda d: " ".join(p.render() for p in d.params))
+def test_feq_holds_below_and_above_certification(monkeypatch, d):
+    # bounds up to deg L^{-1} = n leave both products uncertified; at bound
+    # 30 both are certified; the comparison must hold on every rung
+    zeta._states.clear()
+    for bound in (1, d.n, 30):
+        assert gl2_gamma_functional_equation_check(d, bound)
+
+    def perturb(degree):
+        """gamma with its numerator moved by T^degree / 7."""
+        def perturbed(r):
+            rf, unit = factors.gamma(r)
+            bump = PolyT({degree: Coef.from_rational(Fraction(1, 7))})
+            return RatFuncT(rf.num + bump, rf.den, reduce=False), unit
+        monkeypatch.setattr(zeta, "gamma", perturbed)
+        zeta._states.clear()
+
+    perturb(1)
+    for bound in (30, 1):
+        assert not gl2_gamma_functional_equation_check(d, bound)
+    # a change above the window [0, bound] is outside the statement checked
+    perturb(3)
+    assert gl2_gamma_functional_equation_check(d, 2)
+    assert not gl2_gamma_functional_equation_check(d, 30)
