@@ -777,10 +777,6 @@ class TruncSeriesT:
         self.coeffs = {d: c for d, c in cs if not c.is_zero()}
 
     @staticmethod
-    def from_poly(p: PolyT, bound: int):
-        return TruncSeriesT(0, bound, dict(p.coeffs))
-
-    @staticmethod
     def window(coeffs: dict, bound: int):
         """The window [0, bound] of a dict of nonzero Coefs at degrees >= 0,
         copied without coercing or testing each entry."""

@@ -6,9 +6,11 @@ Matrices live over one of two explicit fields:
   * Q(x)(sqrt q) -- elements a + b*sqrt(q) with a, b rational functions of x.
 
 Everything is generic over one field protocol, the `Field` class with
-its two instances `FieldQ` and `FieldFE`, so the elimination and kernel
-code is written once.  So is the characteristic polynomial, Berkowitz's
-division-free `charpoly`, which also serves exact.det_char.  So is Euclid:
+its two instances `FieldQ` and `FieldFE`, so the elimination is written
+once: it serves `rank`, `kernel`, `mat_inverse` and `subspace_dim` (the
+rank of a list of vectors, which the oracle's rank table reads).  So is
+the characteristic polynomial, Berkowitz's division-free `charpoly`,
+which also serves exact.det_char.  So is Euclid:
 `poly_divmod_f` / `poly_gcd_f` divide polynomials over either field, and
 `QPoly` (the x-polynomials inside Q(x)) divides with them over `FieldQ`.
 
@@ -204,7 +206,7 @@ class FE:
     def __init__(self, a: RatX, b: RatX = None):
         b = RatX.const(0) if b is None else b
         if not b.is_zero() and q_is_square():
-            raise ValueError("formal sqrt(q) with square q would be degenerate")
+            raise DomainError("formal sqrt(q) with square q would be degenerate")
         self.a = a
         self.b = b
 
@@ -347,24 +349,6 @@ def kernel(F, M):
     return basis
 
 
-def solve(F, M, b):
-    """One solution of M v = b, or None."""
-    if not M:
-        return None
-    n, m = len(M), len(M[0])
-    aug = [list(M[i]) + [b[i]] for i in range(n)]
-    ech, pivots = row_echelon(F, aug)
-    v = [F.zero] * m
-    for r, pc in enumerate(pivots):
-        if pc == m:
-            return None  # inconsistent
-        v[pc] = ech[r][m]
-    # verify (cheap guard against logic errors with exact arithmetic)
-    if any(not F.is_zero(F.sub(x, y)) for x, y in zip(mat_vec(F, M, v), b)):
-        return None
-    return v
-
-
 def mat_inverse(F, M):
     n = len(M)
     aug = [list(row) + e for row, e in zip(M, identity(F, n))]
@@ -417,41 +401,9 @@ def _dot(F, row, v, idx):
     return F.zero if out is None else out
 
 
-def row_space_basis(F, vectors):
-    return row_echelon(F, vectors)[0]
-
-
 def subspace_dim(F, vectors):
+    """Dimension of the span of the vectors (rows)."""
     return rank(F, vectors)
-
-
-def subspace_sum(F, U, V):
-    return row_space_basis(F, list(U) + list(V))
-
-
-def subspace_intersect(F, U, V):
-    """Basis of the intersection of two row spaces."""
-    if not U or not V:
-        return []
-    n = len(U[0])
-    stacked = list(U) + [[F.neg(e) for e in row] for row in V]
-    # dependencies c with sum_i c_i * stacked_i = 0: kernel of transpose
-    tr = [[stacked[i][j] for i in range(len(stacked))] for j in range(n)]
-    deps = kernel(F, tr)
-    out = []
-    for c in deps:
-        vec = [F.zero] * n
-        for i in range(len(U)):
-            if not F.is_zero(c[i]):
-                vec = [F.add(a, F.mul(c[i], b)) for a, b in zip(vec, U[i])]
-        if any(not F.is_zero(e) for e in vec):
-            out.append(vec)
-    return row_space_basis(F, out)
-
-
-def coords_in_basis(F, basis, v):
-    tr = [[vec[j] for vec in basis] for j in range(len(v))]
-    return solve(F, tr, v)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 A MatrixWD is an explicit pair (Phi, N) with N Phi = q Phi N and N
 nilpotent.  realize/classify are mutually inverse, and classify is the
 oracle for every structured rule (tensor, dual, twist, filtration,
-purity): it never looks at block data, only at the matrices.
+purity): it never looks at block data, only at the matrices.  It is the
+one reader of Jordan structure: it finds the Jordan strings of N along
+the eigenvalues of Phi from a rank table, and monodromy_filtration puts
+the level-j eigenvalue of a string of length L in degree L - 1 - 2j.
 
 Matrices live over Q when possible (fast path) and over Q(x)(sqrt q)
 otherwise.  One rule lifts the entries of every matrix that make,
@@ -31,12 +34,10 @@ from fractions import Fraction
 from .exact import Scalar, DomainError, Record
 from .linalg import (FE, FieldFE, FieldQ, charpoly, kernel,
                      mat_mul, mat_vec, mat_is_zero, mat_inverse,
-                     monomial_roots_fe, rank, rational_roots, row_space_basis,
-                     subspace_dim, subspace_intersect, subspace_sum,
-                     identity, scalar_to_fe)
+                     monomial_roots_fe, rank, rational_roots,
+                     subspace_dim, scalar_to_fe)
 from .session import get_q, q_pow
-from .wd import (UNR, UNRAMIFIED_LABEL, SpehBlock, WDFamily, WDRep,
-                 family_jordan_at, family_jordan_generic)
+from .wd import UNR, SpehBlock, WDRep
 
 
 class MatrixWD(Record):
@@ -294,81 +295,17 @@ def twist_matrix(m: MatrixWD, i: int) -> MatrixWD:
 
 def monodromy_filtration(m: MatrixWD):
     """Graded pieces of the unique filtration with N W_i <= W_{i-2} and
-    N^i : Gr_i ~ Gr_{-i}; returns {degree: sorted Phi-eigenvalue list}.
+    N^i : Gr_i ~ Gr_{-i}; returns {degree: sorted Phi-eigenvalue list},
+    nonempty degrees only, in ascending order.
 
-    Built as Deligne's convolution W_k = sum_{i-j=k} Ker N^{i+1} /\\ Im N^j;
-    the symmetry of the graded pieces is asserted by explicit rank checks.
+    The filtration is a function of the Jordan structure of N along the
+    eigenvalues of Phi (Deligne, Publ. Math. IHES 52, 1980, 1.6), read off
+    classify's Jordan strings: on a string Sp(alpha, L) the level-j
+    eigenvalue alpha * q^(-j) lies in degree L - 1 - 2j.
     """
-    F, nn, spaces = _eigen_setup(m)
-    n = m.size
-    powers = [identity(F, n)]
-    for _ in range(n + 1):
-        powers.append(mat_mul(F, powers[-1], nn))
-    kers = [kernel(F, powers[i]) for i in range(n + 2)]
-    ims = [row_space_basis(F, [_col(powers[i], j) for j in range(n)])
-           for i in range(n + 2)]
-    W: dict[int, list] = {}
-    for k in range(-n - 1, n + 2):
-        acc: list = []
-        for i in range(0, n + 2):
-            j = i - k
-            if j < 0 or j > n + 1:
-                continue
-            ki = kers[min(i + 1, n + 1)]
-            imj = ims[min(j, n + 1)]
-            if not ki or not imj:
-                continue
-            piece = subspace_intersect(F, ki, imj)
-            if piece:
-                acc = subspace_sum(F, acc, piece)
-        W[k] = acc
-    degrees = {}
-    for k in range(-n - 1, n + 2):
-        lower = W.get(k - 1, [])
-        if subspace_dim(F, W[k]) == subspace_dim(F, lower):
-            continue
-        multiset = []
-        for key, (lam, basis) in spaces.items():
-            dk = subspace_dim(F, subspace_intersect(F, basis, W[k])) if W[k] else 0
-            dl = subspace_dim(F, subspace_intersect(F, basis, lower)) if lower else 0
-            multiset.extend([_key_to_scalar(key)] * (dk - dl))
-        multiset.sort(key=Scalar.sort_key)
-        degrees[k] = multiset
-    _check_filtration_symmetry(F, nn, W, degrees, n)
-    return degrees
-
-
-def _check_filtration_symmetry(F, nmat, W, degrees, n):
-    for k, eigs in degrees.items():
-        if k <= 0:
-            continue
-        lo = degrees.get(-k, [])
-        assert len(lo) == len(eigs), "graded dimensions are not symmetric"
-        nk = identity(F, n)
-        for _ in range(k):
-            nk = mat_mul(F, nk, nmat)
-        image = [mat_vec(F, nk, v) for v in W[k]]
-        tgt = subspace_sum(F, W.get(-k - 1, []), image)
-        got = subspace_dim(F, tgt) - subspace_dim(F, W.get(-k - 1, []))
-        assert got == len(eigs), "N^k fails to induce Gr_k ~ Gr_{-k}"
-
-
-def _col(mat, j):
-    return [mat[i][j] for i in range(len(mat))]
-
-
-# ---------------------------------------------------------------------------
-# Families of nilpotent matrices over Q[x]
-# ---------------------------------------------------------------------------
-
-def generic_rank_profile(n_rows, sample_points):
-    """Jordan type over Q(x) and at the given rational sample points.
-
-    Entries lie in Q[x, 1/x]; the generic type is read from the special
-    fibres x = 1..M that certify it (wd.family_jordan_generic).
-    """
-    fam = WDFamily(matrix_n=n_rows)
-    generic = family_jordan_generic(fam).as_dict()[UNRAMIFIED_LABEL]
-    special = {Fraction(a): family_jordan_at(fam, a).as_dict()[UNRAMIFIED_LABEL]
-               for a in sample_points}
-    return generic, special
+    degrees: dict[int, list] = {}
+    for b in classify(m).blocks:
+        for j in range(b.m):
+            degrees.setdefault(b.m - 1 - 2 * j, []).append(
+                b.alpha * Scalar.qpow(-2 * j))
+    return {k: sorted(degrees[k], key=Scalar.sort_key) for k in sorted(degrees)}

@@ -18,7 +18,7 @@ class Partition(Record):
 
     def __init__(self, parts: tuple[int, ...]):
         if any(p <= 0 for p in parts):
-            raise ValueError("partition parts must be positive")
+            raise DomainError("partition parts must be positive")
         if list(parts) != sorted(parts, reverse=True):
             parts = tuple(sorted(parts, reverse=True))
         self.parts = parts
@@ -86,7 +86,7 @@ class MultiPartition(Record):
 def dominance_leq(t: Partition, u: Partition) -> bool:
     """t <= u: partial sums of decreasing parts never exceed."""
     if t.total != u.total:
-        raise ValueError("dominance comparison needs equal totals")
+        raise DomainError("dominance comparison needs equal totals")
     acc_t = acc_u = 0
     for i in range(max(len(t), len(u))):
         acc_t += t.parts[i] if i < len(t) else 0
@@ -99,14 +99,14 @@ def dominance_leq(t: Partition, u: Partition) -> bool:
 def dominance_leq_multi(t: MultiPartition, u: MultiPartition) -> bool:
     dt, du = t.as_dict(), u.as_dict()
     if set(dt) != set(du):
-        raise ValueError("multipartition index sets differ")
+        raise DomainError("multipartition index sets differ")
     return all(dominance_leq(dt[lbl], du[lbl]) for lbl in dt)
 
 
 def enumerate_partitions(m: int) -> list[Partition]:
     """All partitions of m, sorted lexicographically by decreasing parts."""
     if m < 0:
-        raise ValueError("m must be nonnegative")
+        raise DomainError("m must be nonnegative")
 
     def gen(rest, maxpart):
         if rest == 0:

@@ -12,7 +12,7 @@ product group then exhausts the relevant symmetries.
 
 from __future__ import annotations
 
-from .exact import Record, Scalar
+from .exact import DomainError, Record, Scalar
 from .partitions import MultiPartition
 from .segments import llc_gen, supercuspidal_support
 from .wd import WDRep, InertialAtom, SpehBlock, jordan_data, tensor
@@ -33,7 +33,7 @@ class InertialClass(Record):
         """atoms: (atom, multiplicity m_i) pairs with distinct labels."""
         labels = [a.label for a, _ in atoms]
         if len(set(labels)) != len(labels):
-            raise ValueError("inertial class atoms must have distinct labels")
+            raise DomainError("inertial class atoms must have distinct labels")
         self.atoms = tuple(sorted(atoms, key=lambda am: am[0].label))
 
     @property
@@ -82,7 +82,7 @@ class ExtendedPoint(Record):
         strata = stratum.as_dict()
         for lbl, cs in coords:
             if len(cs) != len(strata[lbl].parts):
-                raise ValueError("coordinate count must match stratum parts")
+                raise DomainError("coordinate count must match stratum parts")
         self.cls = cls
         self.stratum = stratum
         self.coords = coords

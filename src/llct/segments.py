@@ -11,7 +11,7 @@ only its combinatorial shadows (genericity flag, surjection criterion).
 from __future__ import annotations
 
 import enum
-from .exact import Record, Scalar
+from .exact import DomainError, Record, Scalar
 from .partitions import dominance_leq
 from .wd import WDRep, InertialAtom, SpehBlock, jordan_data, _render_block
 
@@ -27,7 +27,7 @@ class Segment(Record):
 
     def __init__(self, sc_atom: InertialAtom, alpha: Scalar, m: int):
         if m < 1:
-            raise ValueError("segment length must be >= 1")
+            raise DomainError("segment length must be >= 1")
         self.sc_atom = sc_atom
         self.alpha = alpha
         self.m = m
@@ -57,7 +57,7 @@ class Multisegment(Record):
                 if mode == OrderingMode.GEN_QUOTIENT:
                     early, late = late, early
                 if precedes(early, late):
-                    raise ValueError(f"ordering violates the {mode.value} condition")
+                    raise DomainError(f"ordering violates the {mode.value} condition")
 
     def render(self) -> str:
         return "[" + "; ".join(s.render() for s in self.segments) + "]"

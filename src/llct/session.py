@@ -17,7 +17,8 @@ def set_q(q: int) -> None:
     global _q
     # the bound keeps the trial division in is_prime_power under 2**16 steps
     if not (isinstance(q, int) and q < 2 ** 32 and is_prime_power(q)):
-        raise ValueError(f"q must be a prime power below 2**32, got {q!r}")
+        from .exact import DomainError  # exact imports this module
+        raise DomainError(f"q must be a prime power below 2**32, got {q!r}")
     _q = q
 
 

@@ -223,22 +223,6 @@ def inertia_eigenvalues(r: WDRep) -> tuple[list[Scalar], list[Scalar]]:
     return full, ker
 
 
-def inertia_invariants(r: WDRep):
-    """Diagonal matrices of Frobenius on r^{I_F} and on Ker(N)^{I_F}."""
-    full, ker = inertia_eigenvalues(r)
-    return _diag(full), _diag(ker)
-
-
-def _diag(entries):
-    n = len(entries)
-    return [[entries[i] if i == j else Scalar.zero() for j in range(n)]
-            for i in range(n)]
-
-
-def diag_entries(matrix) -> list[Scalar]:
-    return [matrix[i][i] for i in range(len(matrix))]
-
-
 def jordan_data(r: WDRep) -> MultiPartition:
     """Per atom label, the partition of Speh lengths (alpha is ignored:
     the strata are per inertial type)."""

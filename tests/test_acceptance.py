@@ -13,7 +13,7 @@ from conftest import (random_alpha, random_mixed_rep,
 from llct.exact import PolyT, Scalar, det_char, poly_divides
 from llct.factors import (epsilon_ratio_check, gamma, l_inverse, l_ss_inverse,
                           sign_constancy_check)
-from llct.linalg import FieldQ, kernel, mat_vec, coords_in_basis
+from llct.linalg import FieldQ, kernel, mat_vec, row_echelon
 from llct.oracle import classify, realize, tensor_matrix
 from llct.partitions import dominance_leq, dominance_leq_multi, enumerate_partitions
 from llct.points import extended_point_of, forget_monodromy, point_of
@@ -64,6 +64,15 @@ def test_criterion_02_tensor_clebsch_gordan():
 
 # -- 3 -----------------------------------------------------------------------
 
+def _coords(basis, v):
+    """Coordinates of v in the independent vectors of basis, by reducing
+    [basis^t | v] to reduced echelon form."""
+    ech, pivots = row_echelon(FieldQ, [[b[i] for b in basis] + [e]
+                                       for i, e in enumerate(v)])
+    assert pivots == list(range(len(basis))), "v is not in the span"
+    return [row[-1] for row in ech]
+
+
 def _oracle_kernel_frobenius_poly(r: WDRep) -> PolyT:
     """det(1 - Frob*T on Ker(N)) read directly off the realized matrices."""
     m = realize(r)
@@ -73,10 +82,7 @@ def _oracle_kernel_frobenius_poly(r: WDRep) -> PolyT:
     basis = kernel(FieldQ, nmat)
     if not basis:
         return PolyT.one()
-    rows = []
-    for v in basis:
-        img = mat_vec(FieldQ, phi, v)
-        rows.append(coords_in_basis(FieldQ, basis, img))
+    rows = [_coords(basis, mat_vec(FieldQ, phi, v)) for v in basis]
     entries = [[rat(rows[j][i]) for j in range(len(basis))]
                for i in range(len(basis))]
     return det_char(entries)

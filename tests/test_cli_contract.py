@@ -9,8 +9,15 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from llct import cli
+from llct import cli, session
 from llct.dsl import ParseError, parse_scalars
+from llct.exact import DomainError, Scalar
+from llct.linalg import FE, RatX
+from llct.partitions import (MultiPartition, Partition, dominance_leq,
+                             dominance_leq_multi, enumerate_partitions)
+from llct.points import ExtendedPoint, InertialClass
+from llct.segments import Multisegment, OrderingMode, Segment
+from llct.wd import UNR
 
 
 def run(argv):
@@ -84,6 +91,46 @@ def test_internal_fault_is_reported_as_internal(monkeypatch, capsys, exc, messag
     assert out == json.dumps({"error": "internal", "message": message},
                              sort_keys=True) + "\n"
     assert "Traceback" not in err
+
+
+# -- input errors raised by the library -----------------------------------------
+#
+# main reports a DomainError with exit 3 and a bare ValueError as an
+# internal fault, so every check on the arguments of a public function or
+# constructor raises DomainError (a ValueError subclass).
+
+def _root_q_at_square_q():
+    session.set_q(4)
+    return FE(RatX.const(0), RatX.const(1))
+
+
+_ONE, _ONE_OVER_Q = Scalar.one(), Scalar.qpow(-2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Partition((2, 0)), "partition parts must be positive"),
+    (lambda: dominance_leq(Partition.of(2), Partition.of(2, 1)),
+     "dominance comparison needs equal totals"),
+    (lambda: dominance_leq_multi(MultiPartition.of({"a": Partition.of(1)}),
+                                 MultiPartition.of({"b": Partition.of(1)})),
+     "multipartition index sets differ"),
+    (lambda: enumerate_partitions(-1), "m must be nonnegative"),
+    (lambda: InertialClass(((UNR, 1), (UNR, 2))),
+     "inertial class atoms must have distinct labels"),
+    (lambda: ExtendedPoint(InertialClass(((UNR, 3),)),
+                           MultiPartition.of({"1": Partition.of(2, 1)}),
+                           (("1", (_ONE,)),)),
+     "coordinate count must match stratum parts"),
+    (lambda: Segment(UNR, _ONE, 0), "segment length must be >= 1"),
+    (lambda: Multisegment((Segment(UNR, _ONE, 1), Segment(UNR, _ONE_OVER_Q, 1)),
+                          OrderingMode.GEN_SUB),
+     "ordering violates the GenSub condition"),
+    (lambda: session.set_q(6), "q must be a prime power below 2"),
+    (_root_q_at_square_q, r"formal sqrt\(q\) with square q"),
+])
+def test_input_errors_are_domain_errors(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 # -- a property over the grammar -----------------------------------------------

@@ -257,8 +257,8 @@ def test_ratfunc_zero_denominator():
 def test_series_multiplication_matches_poly():
     p = PolyT({0: 1, 1: 2, 3: -1})
     q = PolyT({0: 1, 2: 5})
-    sp_ = TruncSeriesT.from_poly(p, 10)
-    sq = TruncSeriesT.from_poly(q, 10)
+    sp_ = TruncSeriesT(0, 10, dict(p.coeffs))
+    sq = TruncSeriesT(0, 10, dict(q.coeffs))
     prod_series = sp_ * sq
     prod_poly = p * q
     for d in range(prod_series.low, prod_series.bound + 1):

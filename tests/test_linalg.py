@@ -17,7 +17,7 @@ from llct.linalg import (FE, FieldFE, FieldK, FieldQ, QPoly, RatX, charpoly, ide
                          kernel, mat_inverse, mat_mul, mat_vec,
                          monomial_roots_fe, poly_divmod_f, poly_gcd_f,
                          poly_quot_f, rank, rational_roots, row_echelon,
-                         scalar_to_fe, solve)
+                         scalar_to_fe)
 from llct.oracle import realize
 
 
@@ -533,18 +533,6 @@ def dense_kernel(F, M):
     return basis
 
 
-def dense_solve(F, M, b):
-    """The solution of M v = b with every free variable 0, or None."""
-    m = len(M[0])
-    ech, pivots = dense_rref(F, [list(row) + [e] for row, e in zip(M, b)])
-    if m in pivots:
-        return None
-    v = [F.zero] * m
-    for r, pc in enumerate(pivots):
-        v[pc] = ech[r][m]
-    return v
-
-
 def same(F, a, b):
     """Equal nested lists of field elements (0 and Fraction(0) are equal)."""
     if isinstance(a, list):
@@ -554,7 +542,7 @@ def same(F, a, b):
 
 
 def assert_kernels_match_dense(F, M, other, vec):
-    """mat_mul, mat_vec, row_echelon, kernel, rank, solve and mat_inverse
+    """mat_mul, mat_vec, row_echelon, kernel, rank and mat_inverse
     on M against the dense reference; `other` has len(M[0]) rows and `vec`
     len(M[0]) entries."""
     before = [list(r) for r in M]
@@ -566,11 +554,6 @@ def assert_kernels_match_dense(F, M, other, vec):
     assert pivots == want_pivots and same(F, ech, want_ech)
     assert same(F, kernel(F, M), dense_kernel(F, M))
     assert rank(F, M) == len(want_pivots)
-    for b in (image, [F.one] * len(M)):
-        got, want = solve(F, M, b), dense_solve(F, M, b)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert same(F, got, want)
     if len(M) == len(M[0]):
         if len(want_pivots) == len(M):
             inv = mat_inverse(F, M)

@@ -12,12 +12,13 @@ from conftest import random_unramified_rep, seeded
 from llct import session
 from llct.dsl import parse_matrix, parse_wd
 from llct.exact import DomainError, Scalar
-from llct.linalg import FE, scalar_to_fe
-from llct.oracle import (MatrixWD, classify, dual_matrix, generic_rank_profile,
-                         monodromy_filtration, realize, tensor_matrix,
-                         twist_matrix)
+from llct.linalg import (FE, FieldQ, charpoly, identity, kernel, mat_mul,
+                         mat_vec, rational_roots, row_echelon, scalar_to_fe)
+from llct.oracle import (MatrixWD, classify, dual_matrix, monodromy_filtration,
+                         realize, tensor_matrix, twist_matrix)
 from llct.partitions import Partition
-from llct.wd import WDRep, sp
+from llct.wd import (UNRAMIFIED_LABEL, WDFamily, WDRep, family_jordan_at,
+                     family_jordan_generic, sp)
 
 
 def rat(v):
@@ -109,6 +110,90 @@ def test_monodromy_filtration_symmetry_on_sums():
             assert len(degs[-k]) == len(eigs)
 
 
+# -- Deligne's convolution: the filtration's reference over Q -------------------
+
+def _row_space(vectors):
+    return row_echelon(FieldQ, vectors)[0]
+
+
+def _dim(vectors):
+    return len(_row_space(vectors))
+
+
+def _intersect(U, V):
+    """Basis of the intersection of the row spaces of two bases."""
+    if not U or not V:
+        return []
+    stacked = U + [[-e for e in v] for v in V]
+    deps = kernel(FieldQ, [list(col) for col in zip(*stacked)])
+    return _row_space([[sum(c[i] * u[j] for i, u in enumerate(U))
+                        for j in range(len(U[0]))] for c in deps])
+
+
+def deligne_filtration(m):
+    """{degree: sorted Phi-eigenvalues} of the filtration
+    W_k = sum over i - j = k of (Ker N^(i+1) cap Im N^j)
+    (Deligne, Publ. Math. IHES 52, 1980, 1.6.13) for a MatrixWD over Q,
+    after checking N W_k <= W_{k-2} and N^k : Gr_k ~ Gr_{-k}."""
+    n = m.size
+    phi, nn = [list(r) for r in m.phi], [list(r) for r in m.n]
+    powers = [identity(FieldQ, n)]
+    for _ in range(n):
+        powers.append(mat_mul(FieldQ, powers[-1], nn))
+    kers = [kernel(FieldQ, p) for p in powers]
+    ims = [_row_space([list(col) for col in zip(*p)]) for p in powers]
+    W = {k: [] for k in range(-n - 2, n + 1)}
+    for k in range(-n, n + 1):
+        for j in range(max(-k, 0), n):  # i = j + k; Im N^n = 0 and Ker N^n = Q^n
+            W[k] = _row_space(W[k] + _intersect(kers[min(j + k + 1, n)], ims[j]))
+
+    def image(k, vectors):
+        return [mat_vec(FieldQ, powers[k], v) for v in vectors]
+
+    spaces = {}
+    for lam in dict.fromkeys(rational_roots(charpoly(FieldQ, phi))):
+        shifted = [[e - lam if i == j else e for j, e in enumerate(row)]
+                   for i, row in enumerate(phi)]
+        spaces[lam] = kernel(FieldQ, shifted)
+    out = {}
+    for k in range(-n, n + 1):
+        assert _dim(W[k - 2] + image(1, W[k])) == _dim(W[k - 2])
+        gr = _dim(W[k]) - _dim(W[k - 1])
+        if k > 0:
+            assert _dim(W[-k - 1] + image(k, W[k])) - _dim(W[-k - 1]) == gr
+        if gr:
+            out[k] = sorted((Scalar.make(lam) for lam, e in spaces.items()
+                             for _ in range(_dim(_intersect(e, W[k]))
+                                            - _dim(_intersect(e, W[k - 1])))),
+                            key=Scalar.sort_key)
+    return out
+
+
+def unimodular(rng, n):
+    """L * U with unit diagonals and off-diagonal entries in [-2, 2]."""
+    L = [[1 if i == j else rng.randint(-2, 2) if j < i else 0 for j in range(n)]
+         for i in range(n)]
+    U = [[1 if i == j else rng.randint(-2, 2) if j > i else 0 for j in range(n)]
+         for i in range(n)]
+    return [[sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_filtration_matches_deligne_convolution(q):
+    """48 seeded matrices per q of rank up to 6, every other one conjugated
+    by a unimodular L*U; 10 s per q."""
+    session.set_q(q)
+    rng = seeded(2800 + q)
+    t0 = time.time()
+    for i in range(48):
+        m = realize(random_unramified_rep(rng, max_rank=6))
+        if i % 2:
+            m = m.conjugate(unimodular(rng, m.size))
+        assert list(monodromy_filtration(m).items()) == list(deligne_filtration(m).items())
+    elapsed = time.time() - t0
+    assert elapsed < 10.0, f"too slow: {elapsed:.1f}s"
+
+
 def test_classify_with_x_and_halfpowers():
     x = Scalar.x_power(1)
     r = WDRep([sp(x, 2), sp(Scalar.make(2, qexp2=1), 1)])
@@ -142,12 +227,7 @@ def test_dense_conjugate_over_fe_within_budget():
     a unimodular L*U: classify took over a minute while the characteristic
     polynomial over Q(x)(sqrt q) divided by pivots."""
     m = realize(parse_wd("Sp(unr(x),2)+Sp(unr(q^(1/2)),1)+Sp(unr(2),2)"))
-    rng, n = random.Random(2), m.size
-    L = [[1 if i == j else rng.randint(-2, 2) if j < i else 0 for j in range(n)]
-         for i in range(n)]
-    U = [[1 if i == j else rng.randint(-2, 2) if j > i else 0 for j in range(n)]
-         for i in range(n)]
-    P = [[sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    P = unimodular(random.Random(2), m.size)
     previous = signal.signal(signal.SIGALRM, _too_slow)
     signal.alarm(20)
     try:
@@ -196,6 +276,15 @@ def test_classify_over_fe_accepts_monomial_eigenvalues_only(q, phi, expected):
         assert str(exc.value) == NOT_MONOMIAL
     else:
         assert classify(m).render() == expected
+
+
+def generic_rank_profile(n_rows, sample_points):
+    """Jordan type over Q(x), and at each rational sample point."""
+    fam = WDFamily(matrix_n=n_rows)
+    generic = family_jordan_generic(fam).as_dict()[UNRAMIFIED_LABEL]
+    special = {Fraction(a): family_jordan_at(fam, a).as_dict()[UNRAMIFIED_LABEL]
+               for a in sample_points}
+    return generic, special
 
 
 def test_generic_rank_profile_examples():

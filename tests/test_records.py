@@ -31,8 +31,8 @@ def extended(coord):
     return ExtendedPoint(cls, stratum, (("1", (s(2), s(coord))),))
 
 
-_SERIES = TruncSeriesT.from_poly(PolyT.from_roots([s(2)]), 4)
-_PRODUCT = TruncSeriesT.from_poly(PolyT.one(), 4)
+_SERIES = TruncSeriesT(0, 4, dict(PolyT.from_roots([s(2)]).coeffs))
+_PRODUCT = TruncSeriesT(0, 4, dict(PolyT.one().coeffs))
 
 # name -> (build a fresh instance, build one with a changed field).  Each
 # builder makes new objects, so equality is never identity.

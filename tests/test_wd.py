@@ -14,8 +14,8 @@ from llct.oracle import (classify, dual_matrix, monodromy_filtration, realize,
                          tensor_matrix, twist_matrix)
 from llct.partitions import MultiPartition, Partition, dominance_leq_multi
 from llct.wd import (FIBRE_BUDGET, InterpolationResult, SpehBlock, WDFamily, WDRep,
-                     check_interpolation, diag_entries, dual, family_jordan_at,
-                     family_jordan_generic, inertia_invariants, is_pure, jordan_data,
+                     check_interpolation, dual, family_jordan_at,
+                     family_jordan_generic, inertia_eigenvalues, is_pure, jordan_data,
                      pure_weight, sp, specialize, tensor, twist, UNR)
 
 
@@ -110,15 +110,15 @@ def test_structured_ops_commute_with_oracle():
 # -- inertia invariants -------------------------------------------------------------
 
 def test_inertia_invariants_examples():
-    full, ker = inertia_invariants(WDRep([sp(5, 1)]))
-    assert diag_entries(full) == [rat(5)] and diag_entries(ker) == [rat(5)]
+    full, ker = inertia_eigenvalues(WDRep([sp(5, 1)]))
+    assert full == [rat(5)] and ker == [rat(5)]
 
-    full, ker = inertia_invariants(WDRep([sp(5, 3)]))
-    assert sorted(s.render() for s in diag_entries(full)) == ["5", "5/3", "5/9"]
-    assert [s.render() for s in diag_entries(ker)] == ["5/9"]
+    full, ker = inertia_eigenvalues(WDRep([sp(5, 3)]))
+    assert sorted(s.render() for s in full) == ["5", "5/3", "5/9"]
+    assert [s.render() for s in ker] == ["5/9"]
 
     ram = WDRep([SpehBlock(RAMIFIED_ATOMS[0], rat(2), 2)])
-    full, ker = inertia_invariants(ram)
+    full, ker = inertia_eigenvalues(ram)
     assert full == [] and ker == []
 
 
