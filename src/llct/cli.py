@@ -1,13 +1,15 @@
 """Command-line interface: `llct VERB ...` with one line of JSON output.
 
 Exit codes: 0 ok, 1 internal fault (`"error": "internal"`, no traceback),
-2 parse error, 3 math-domain error, 4 uncertified truncation.
+2 parse error, 3 math-domain error, 4 uncertified truncation, 5 stdout
+closed before the answer was written (a reader such as `head` quit).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -31,12 +33,13 @@ EXIT_INTERNAL = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_UNCERTIFIED = 4
+EXIT_CLOSED_PIPE = 5
 
 ORACLE_ARITY = {"roundtrip": 1, "tensor": 2}
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    print(json.dumps(obj, sort_keys=True), flush=True)
 
 
 def _parse_params(text: str) -> SatakeData:
@@ -282,7 +285,11 @@ def main(argv=None) -> int:
     except Exception as e:  # an internal fault, not a property of the input
         out = {"error": "internal", "message": f"{type(e).__name__}: {e}"}
         code = EXIT_INTERNAL
-    _emit(out)
+    try:
+        _emit(out)
+    except BrokenPipeError:  # the reader quit: keep the exit-time flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     return code
 
 

@@ -1,18 +1,19 @@
 """Exact linear algebra for the matrix oracle.
 
-Matrices live over one of two explicit fields:
+Matrices live over one of two explicit rings:
 
-  * Q            -- plain Fractions (fast path),
+  * Z            -- a matrix over Q times the lcm of its denominators,
   * Q(x)(sqrt q) -- elements a + b*sqrt(q) with a, b rational functions of x.
 
-Everything is generic over one field protocol, the `Field` class with
-its two instances `FieldQ` and `FieldFE`, so the elimination is written
-once: it serves `rank`, `kernel`, `mat_inverse` and `subspace_dim` (the
-rank of a list of vectors, which the oracle's rank table reads).  So is
-the characteristic polynomial, Berkowitz's division-free `charpoly`,
-which also serves exact.det_char.  So is Euclid:
-`poly_divmod_f` / `poly_gcd_f` divide polynomials over either field, and
-`QPoly` (the x-polynomials inside Q(x)) divides with them over `FieldQ`.
+Everything is generic over one protocol, the `Field` class.  Each of its
+instances `FieldQ`, `FieldFE`, `FieldK` and `RingZ` brings the
+elimination that `rank`, `kernel` and `subspace_dim` (the rank of a list
+of vectors, which the oracle's rank table reads) run: the field loop
+`row_echelon`, which `mat_inverse` runs too, or over Z a fraction-free
+Gauss-Jordan pass.  Berkowitz's division-free `charpoly` serves every
+instance and exact.det_char.  Euclid, `poly_divmod_f` / `poly_gcd_f`,
+divides over a field, and `QPoly` (the x-polynomials inside Q(x))
+divides with it over `FieldQ`.
 
 Roots: `rational_roots` over Q (Loos's p-adic method), and over
 Q(x)(sqrt q) `monomial_roots_fe`, from the Newton polygon in x.
@@ -194,8 +195,62 @@ class Field:
         self.zero, self.one, self.inv = zero, one, inv
         self.is_zero, self.from_int = is_zero, from_int
 
+    def echelon(self, M):
+        return row_echelon(self, M)
+
+    def null_vector(self, ech, pivots, fc, ncols):
+        v = [self.one if j == fc else self.zero for j in range(ncols)]
+        for r, pc in enumerate(pivots):
+            v[pc] = self.neg(ech[r][fc])
+        return v
+
+
+class _Integers(Field):
+    """Z: fraction-free Gauss-Jordan, each new row a*row - b*(pivot row)
+    over the gcd of its entries, so no larger than Bareiss's exact division
+    by the previous pivot leaves it (Math. Comp. 22, 1968)."""
+
+    def echelon(self, M):
+        """(rows, pivot columns) as row_echelon gives them, except that row r
+        is primitive and has the integer pivot rows[r][pivots[r]], not 1."""
+        rows, pivots = [_primitive_z(row) for row in M], []
+        for c in range(len(rows[0]) if rows else 0):
+            r = len(pivots)
+            piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            prow, p = rows[r], rows[r][c]
+            for i, row in enumerate(rows):
+                if row[c] and i != r:
+                    g = math.gcd(p, row[c])
+                    a, b = p // g, row[c] // g
+                    rows[i] = _primitive_z([a * x - b * y for x, y in zip(row, prow)])
+            pivots.append(c)
+        return rows[:len(pivots)], pivots
+
+    def null_vector(self, ech, pivots, fc, ncols):
+        """Primitive, positive at fc and zero at the other free columns."""
+        lcm = math.lcm(*(ech[r][pc] for r, pc in enumerate(pivots) if ech[r][fc]))
+        v = [lcm if j == fc else 0 for j in range(ncols)]
+        for r, pc in enumerate(pivots):
+            v[pc] = -ech[r][fc] * lcm // ech[r][pc]
+        return _primitive_z(v)
+
+
+def _primitive_z(v):
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else list(v)
+
 
 FieldQ = Field(Q0, Q1, lambda a: Q1 / a, operator.not_, Fraction)
+RingZ = _Integers(0, 1, None, operator.not_, int)
+
+
+def integer_multiple(M):
+    """(d, d*M) for the least d > 0 that makes the rational matrix M integral."""
+    d = math.lcm(*{e.denominator for row in M for e in row})
+    return d, [[e.numerator * (d // e.denominator) if e else 0 for e in row] for row in M]
 
 
 class FE:
@@ -329,24 +384,17 @@ def row_echelon(F, M):
 
 
 def rank(F, M):
-    return len(row_echelon(F, M)[0])
+    return len(F.echelon(M)[0])
 
 
 def kernel(F, M):
-    """Basis of {v : M v = 0} (column kernel), as a list of vectors."""
+    """Basis of {v : M v = 0} (column kernel), one vector per free column."""
     if not M:
         return []
     ncols = len(M[0])
-    ech, pivots = row_echelon(F, M)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [F.zero] * ncols
-        v[fc] = F.one
-        for r, pc in enumerate(pivots):
-            v[pc] = F.neg(ech[r][fc])
-        basis.append(v)
-    return basis
+    ech, pivots = F.echelon(M)
+    return [F.null_vector(ech, pivots, fc, ncols)
+            for fc in range(ncols) if fc not in pivots]
 
 
 def mat_inverse(F, M):
@@ -487,17 +535,18 @@ def _squarefree_int(f):
     return q
 
 
-def _prem(a, b, is_zero=operator.not_):
-    """Pseudo-remainder of a by b, coefficient lists over a domain (Z, or
-    R for T-polynomials), trailing zeros trimmed: lead(b)^k a - q b for the
-    least k that leaves it of lower degree than b."""
+def _prem(a, b, R=RingZ):
+    """Pseudo-remainder lead(b)^k a - q b of a by b, for the least k that
+    leaves it of lower degree than b, over RingZ or (its zero test and one
+    only) FieldK for R[T]; trailing zeros trimmed, a lead of one not applied."""
     r, n = list(a), len(b) - 1
     while len(r) > n:
         lead = r.pop()
-        r = [b[-1] * c for c in r]
+        if b[-1] != R.one:
+            r = [b[-1] * c for c in r]
         for i in range(n):
             r[len(r) - n + i] -= lead * b[i]
-        while r and is_zero(r[-1]):
+        while r and R.is_zero(r[-1]):
             r.pop()
     return r
 
@@ -704,7 +753,7 @@ def poly_prem(a, b):
     """Pseudo-remainder of the PolyT a by the nonzero PolyT b, both with
     plain coefficients, as a coefficient list; empty iff b divides a over
     the fraction field of R."""
-    return _prem(_tlist(a), _tlist(b), Coef.is_zero)
+    return _prem(_tlist(a), _tlist(b), FieldK)
 
 
 def _content(cs):
@@ -739,5 +788,5 @@ def poly_gcd_plain(a, b):
     c = _content(a + b)
     a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, _primitive(_prem(a, b, Coef.is_zero))
+        a, b = b, _primitive(_prem(a, b, FieldK))
     return PolyT({d: c * v for d, v in enumerate(a)})

@@ -8,7 +8,7 @@ one reader of Jordan structure: it finds the Jordan strings of N along
 the eigenvalues of Phi from a rank table, and monodromy_filtration puts
 the level-j eigenvalue of a string of length L in degree L - 1 - 2j.
 
-Matrices live over Q when possible (fast path) and over Q(x)(sqrt q)
+Matrices are stored over Q when possible and over Q(x)(sqrt q)
 otherwise.  One rule lifts the entries of every matrix that make,
 conjugate and tensor_matrix see, jointly: if each entry is rational (an
 int, a Fraction, a rational Scalar or a constant FE) the field is Q and
@@ -19,12 +19,14 @@ representation instead: Q(x)(sqrt q) once some alpha involves q^(1/2) or
 x.  Eigenvalues of Phi must be monomials c * q^(h/2) * x^k; general
 characteristic-polynomial factorization is out of scope.
 
-Eigenvalues come from the characteristic polynomial of Phi (Berkowitz,
-division-free, O(n^4) ring operations), whose roots are found with
-multiplicity: over Q by Loos's p-adic rational-root search (Hensel lifting
-and rational reconstruction, no integer factoring) with exact deflation in
-Z[X], over Q(x)(sqrt q) by one pass over the edges of its Newton polygon
-in x, whose edge polynomials go to the same rational-root search.
+A pair over Q is checked and classified in Z, on d*Phi and e*N with d, e
+the lcms of their denominators, which keeps every check, eigenspace and
+rank.  Eigenvalues come from the characteristic polynomial (Berkowitz,
+division-free, O(n^4) ring operations), with multiplicity: over Q that of
+d*Phi, monic in Z[X], whose roots are integers mu = d*lambda, found by
+Loos's p-adic search (Hensel lifting and rational reconstruction, no
+integer factoring); over Q(x)(sqrt q) by one pass over the edges of its
+Newton polygon in x, whose edge polynomials go to the same search.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import Scalar, DomainError, Record
-from .linalg import (FE, FieldFE, FieldQ, charpoly, kernel,
-                     mat_mul, mat_vec, mat_is_zero, mat_inverse,
+from .linalg import (FE, FieldFE, FieldQ, RingZ, charpoly, integer_multiple,
+                     kernel, mat_mul, mat_vec, mat_is_zero, mat_inverse,
                      monomial_roots_fe, rank, rational_roots,
                      subspace_dim, scalar_to_fe)
 from .session import get_q, q_pow
@@ -59,18 +61,21 @@ class MatrixWD(Record):
         m.check()
         return m
 
-    def _field(self):
-        return _FIELDS[self.field]
+    def _scaled(self):
+        """(RingZ, d*Phi, e*N, d) as in the module docstring over Q, and
+        (FieldFE, Phi, N, 1) over Q(x)(sqrt q)."""
+        if self.field == "FE":
+            return FieldFE, self.phi, self.n, 1
+        d, phi = integer_multiple(self.phi)
+        return RingZ, phi, integer_multiple(self.n)[1], d
 
     def check(self):
-        F = self._field()
-        phi, nn = self.phi, self.n
+        F, phi, nn, _d = self._scaled()
         q = F.from_int(get_q())
         q_phi = [[e if F.is_zero(e) else F.mul(q, e) for e in row] for row in phi]
         if mat_mul(F, nn, phi) != mat_mul(F, q_phi, nn):
             raise DomainError("N*Phi = q*Phi*N fails")
-        power = nn  # N^(2^k) >= N^size by repeated squaring
-        steps = 1
+        power, steps = nn, 1  # N^(2^k) >= N^size by repeated squaring
         while steps < self.size and not mat_is_zero(F, power):
             power = mat_mul(F, power, power)
             steps *= 2
@@ -146,36 +151,30 @@ def realize(r: WDRep) -> MatrixWD:
 
 
 def _eigen_setup(m: MatrixWD):
-    """(field, n, eigendata) where eigendata maps a hashable key
-    (c, qh, xdeg) to (raw eigenvalue, eigenspace basis).
+    """(ring, N, eigendata) from m._scaled(), where eigendata maps a
+    hashable key (c, qh, xdeg) to an eigenspace basis.
 
     Both root finders return the roots of the characteristic polynomial
     with multiplicity: over Q they must number `size`, over Q(x)(sqrt q)
     a root outside the monomial class raises.  The eigenspaces of the
     distinct roots must have dimensions summing to `size`.
     """
-    F = m._field()
-    phi = [list(r) for r in m.phi]
-    nn = [list(r) for r in m.n]
+    F, phi, nn, d = m._scaled()
     cp = charpoly(F, phi)
     if m.field == "Q":
-        roots = rational_roots(cp)
+        roots = rational_roots(cp)  # integers: the eigenvalues of d*Phi
         if len(roots) < m.size:
             raise DomainError("semisimplification not supported: eigenvalue "
                               "outside the monomial class")
-        keyed = [((c, 0, 0), c) for c in dict.fromkeys(roots)]
+        keyed = [((mu / d, 0, 0), mu.numerator) for mu in dict.fromkeys(roots)]
     else:
         keyed = dict(monomial_roots_fe(cp)).items()
     spaces = {}
-    total = 0
     for key, lam in keyed:
-        shifted = [list(row) for row in phi]
-        for i, row in enumerate(shifted):
-            row[i] = F.sub(row[i], lam)
-        basis = kernel(F, shifted)
-        spaces[key] = (lam, basis)
-        total += len(basis)
-    if total != m.size:
+        shifted = [[F.sub(e, lam) if i == j else e for j, e in enumerate(row)]
+                   for i, row in enumerate(phi)]
+        spaces[key] = kernel(F, shifted)
+    if sum(map(len, spaces.values())) != m.size:
         raise DomainError("semisimplification not supported for this "
                           "eigenstructure (Phi not diagonalizable)")
     return F, nn, spaces
@@ -201,17 +200,15 @@ def classify(m: MatrixWD) -> WDRep:
     chains of Phi and the rank profile of N along them."""
     F, nn, spaces = _eigen_setup(m)
     chains: list[dict[int, tuple]] = []
-    for key in spaces:
-        placed = False
+    for key, basis in spaces.items():
         for chain in chains:
-            base_level, base_key = next(iter(chain.items()))
-            j = _key_ratio(key, base_key[2])
+            base_level, (_basis, base_key) = next(iter(chain.items()))
+            j = _key_ratio(key, base_key)
             if j is not None:
-                chain[base_level + j] = (*spaces[key], key)
-                placed = True
+                chain[base_level + j] = (basis, key)
                 break
-        if not placed:
-            chains.append({0: (*spaces[key], key)})
+        else:
+            chains.append({0: (basis, key)})
     blocks = []
     for chain in chains:
         blocks.extend(_classify_chain(F, nn, chain))
@@ -221,19 +218,15 @@ def classify(m: MatrixWD) -> WDRep:
 
 
 def _classify_chain(F, nmat, chain):
-    levels = sorted(chain)
-    runs, cur = [], [levels[0]]
-    for lv in levels[1:]:
-        if lv == cur[-1] + 1:
-            cur.append(lv)
+    runs = []  # maximal runs of consecutive levels
+    for lv in sorted(chain):
+        if runs and lv == runs[-1][-1] + 1:
+            runs[-1].append(lv)
         else:
-            runs.append(cur)
-            cur = [lv]
-    runs.append(cur)
+            runs.append([lv])
     out = []
     for run in runs:
-        bases = [chain[lv][1] for lv in run]
-        keys = [chain[lv][2] for lv in run]
+        bases, keys = zip(*(chain[lv] for lv in run))
         L = len(run)
         # r[a][b] = rank of N^(b-a) restricted to the level-a eigenspace
         r = [[0] * L for _ in range(L)]
@@ -274,7 +267,7 @@ def tensor_matrix(m1: MatrixWD, m2: MatrixWD) -> MatrixWD:
 
 def dual_matrix(m: MatrixWD) -> MatrixWD:
     """Dual realization: Phi^* = (Phi^{-1})^t, N^* = -N^t."""
-    F = m._field()
+    F = _FIELDS[m.field]
     phi = mat_inverse(F, [list(r) for r in m.phi])
     n = m.size
     phi_t = [[phi[j][i] for j in range(n)] for i in range(n)]
@@ -283,7 +276,7 @@ def dual_matrix(m: MatrixWD) -> MatrixWD:
 
 
 def twist_matrix(m: MatrixWD, i: int) -> MatrixWD:
-    F = m._field()
+    F = _FIELDS[m.field]
     s = F.from_int(q_pow(-i))
     phi = [[F.mul(s, e) for e in row] for row in m.phi]
     return MatrixWD.make(phi, [list(r) for r in m.n])

@@ -8,7 +8,7 @@ i, which is how monodromy degenerations are detected.
 from __future__ import annotations
 
 from .exact import DomainError, Record
-from .linalg import FieldQ, mat_mul, row_echelon
+from .linalg import RingZ, integer_multiple, mat_mul
 
 
 class Partition(Record):
@@ -120,15 +120,16 @@ def enumerate_partitions(m: int) -> list[Partition]:
 
 
 def jordan_type_matrix(N) -> Partition:
-    """Jordan type of a nilpotent matrix over Q, from its rank sequence; the
-    row space of N^k is an echelon basis of that of N^(k-1), times N."""
+    """Jordan type of a nilpotent N over Q from the ranks of (dN)^k, d*N
+    integral: each row space is an echelon basis of the last one, times dN."""
+    N = integer_multiple(N)[1]
     basis, ranks = N, [len(N)]
     for _ in range(len(N)):
-        basis = row_echelon(FieldQ, basis)[0]
+        basis = RingZ.echelon(basis)[0]
         ranks.append(len(basis))
         if not basis:
             break
-        basis = mat_mul(FieldQ, basis, N)
+        basis = mat_mul(RingZ, basis, N)
     if ranks[-1] != 0:
         raise DomainError("matrix is not nilpotent")
     return Partition.from_rank_sequence(ranks)

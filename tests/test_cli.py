@@ -12,7 +12,7 @@ import pytest
 
 from conftest import random_unramified_rep, random_mixed_rep, seeded
 import llct
-from llct import session
+from llct import cli, session
 from llct.cli import main
 from llct.dsl import parse_wd
 
@@ -304,3 +304,24 @@ def test_cli_import_loads_every_module_and_no_dataclasses():
     assert "dataclasses" not in loaded
     assert "inspect" not in loaded
     assert loaded == ["llct." + m for m in LLCT_MODULES]
+
+
+@pytest.mark.parametrize("expr", ["Sp(unr(1),2)", "Sp(unr(2),1000)"])
+def test_closed_stdout_exits_5_without_a_traceback(expr):
+    """The CLI's stdout is a pipe whose reader is gone before it starts, so
+    its answer cannot be written: exit code 5, which the README's table and
+    the cli docstring name, and nothing on stderr. The second answer is
+    larger than a pipe buffer."""
+    src = str(pathlib.Path(llct.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "llct.cli", "L", expr],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+    assert proc.returncode == cli.EXIT_CLOSED_PIPE == 5

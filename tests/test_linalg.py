@@ -13,11 +13,11 @@ from conftest import random_unramified_rep, seeded
 from llct import session
 from llct.dsl import parse_wd
 from llct.exact import Coef, DomainError, PolyT, Scalar, det_char
-from llct.linalg import (FE, FieldFE, FieldK, FieldQ, QPoly, RatX, charpoly, identity,
-                         kernel, mat_inverse, mat_mul, mat_vec,
-                         monomial_roots_fe, poly_divmod_f, poly_gcd_f,
-                         poly_quot_f, rank, rational_roots, row_echelon,
-                         scalar_to_fe)
+from llct.linalg import (FE, FieldFE, FieldK, FieldQ, QPoly, RatX, RingZ, charpoly,
+                         identity, integer_multiple, kernel, mat_inverse,
+                         mat_mul, mat_vec, monomial_roots_fe, poly_divmod_f,
+                         poly_gcd_f, poly_quot_f, rank, rational_roots,
+                         row_echelon, scalar_to_fe, subspace_dim)
 from llct.oracle import realize
 
 
@@ -610,6 +610,70 @@ def test_matrix_kernels_on_square_sparse_matrices_over_q():
     for M in cases:
         n = len(M)
         assert_kernels_match_dense(FieldQ, M, [list(r) for r in M], [q(1)] * n)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices up to 12 x 12 of a drawn rank bound: the first rows
+    are drawn with entries up to 10^6 and density 20-100 %, the others are
+    small integer combinations of them, and whole rows and columns are
+    then zeroed and the rows shuffled."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    k = draw(st.integers(0, min(n, m)))
+    density = draw(st.floats(0.2, 1))
+    big = st.integers(-10 ** 6, 10 ** 6) | st.integers(-3, 3)
+    rows = [[draw(big) if draw(st.floats(0, 1)) < density else 0 for _ in range(m)]
+            for _ in range(k)]
+    for _ in range(n - k):
+        cs = [draw(st.integers(-3, 3)) for _ in rows]
+        rows.append([sum(c * r[j] for c, r in zip(cs, rows)) for j in range(m)])
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=3)):
+        rows[i] = [0] * m
+    for j in draw(st.sets(st.integers(0, m - 1), max_size=3)):
+        for r in rows:
+            r[j] = 0
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+def test_integer_elimination_matches_field_q(M):
+    """RingZ against FieldQ: the same rank and pivots, each Z row a multiple
+    of the reduced row over Q, and each Z kernel vector a primitive integer
+    vector that is a positive multiple of the matching Q kernel vector, so
+    the two kernels span the same space."""
+    before = [list(r) for r in M]
+    Mq = [[Fraction(e) for e in r] for r in M]
+    ech, pivots = RingZ.echelon(M)
+    want, want_pivots = row_echelon(FieldQ, Mq)
+    assert pivots == want_pivots
+    assert rank(RingZ, M) == subspace_dim(RingZ, M) == rank(FieldQ, Mq) == len(pivots)
+    for row, reduced, pc in zip(ech, want, pivots):
+        assert [Fraction(e, row[pc]) for e in row] == reduced
+    kz, kq = kernel(RingZ, M), kernel(FieldQ, Mq)
+    assert len(kz) == len(kq) == len(M[0]) - len(pivots)
+    for vz, vq in zip(kz, kq):
+        assert all(type(e) is int for e in vz) and math.gcd(*vz) == 1
+        scale = next(e for e in vz if e) / next(e for e in vq if e)
+        assert scale > 0 and [scale * e for e in vq] == vz
+        assert not any(mat_vec(RingZ, M, vz))
+    assert M == before  # inputs are not modified
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_charpoly_of_the_integer_multiple_is_monic_and_scaled(n, data):
+    """charpoly(d*M) over Z has coefficients d^(n-i) c_i, with c_i those of
+    charpoly(M) over Q: the oracle's eigenvalues of d*Phi are d times
+    those of Phi."""
+    entry = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    M = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    d, Mz = integer_multiple(M)
+    assert d == math.lcm(*(e.denominator for r in M for e in r))
+    assert all(type(e) is int for r in Mz for e in r)
+    cz, cq = charpoly(RingZ, Mz), charpoly(FieldQ, M)
+    assert cz[-1] == 1 and all(type(c) is int for c in cz)
+    assert cz == [d ** (n - i) * c for i, c in enumerate(cq)]
 
 
 def test_mat_inverse_over_q_and_fe(monkeypatch):

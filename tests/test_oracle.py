@@ -237,6 +237,19 @@ def test_dense_conjugate_over_fe_within_budget():
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_dense_conjugate_over_q_within_budget():
+    """A 16 x 16 with four rational Speh ladders, conjugated by a unimodular
+    L*U so that Phi and N are dense: classify runs on the integer multiples
+    of Phi and N and returns the input in under 1 s."""
+    r = parse_wd("Sp(unr(2),4)+Sp(unr(5/7),4)+Sp(unr(11),4)+Sp(unr(13),4)")
+    m = realize(r).conjugate(unimodular(random.Random(16), 16))
+    assert m.field == "Q" and sum(1 for row in m.phi for e in row if e) > 128
+    t0 = time.time()
+    assert classify(m) == r
+    elapsed = time.time() - t0
+    assert elapsed < 1.0, f"too slow: {elapsed:.2f}s"
+
+
 def test_long_block_tensor_within_budget():
     t0 = time.time()
     got = classify(tensor_matrix(realize(WDRep([sp(2, 1)])),
@@ -375,6 +388,28 @@ def test_singular_phi_is_a_domain_error(phi, nn):
     for use in (classify, dual_matrix):
         with pytest.raises(DomainError, match="Phi is singular"):
             use(MatrixWD.make(phi, nn))
+
+
+# The five domain errors of a pair over Q, each raised from the integer
+# multiples of Phi and N; Fraction entries make the scaling nontrivial.
+@pytest.mark.parametrize("phi, nn, step, message", [
+    ([[1, 0], [0, Fraction(1, 2)]], [[0, 0], [1, 0]], "make",
+     "N*Phi = q*Phi*N fails"),
+    ([[0, 0], [0, 0]], [[0, Fraction(2, 3)], [5, 0]], "make", "N is not nilpotent"),
+    ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]], [[0, 0], [0, 0]], "make",
+     "Phi is singular"),
+    ([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(-1, 2)]],
+     [[0, 0], [0, 0]], "classify",
+     "semisimplification not supported: eigenvalue outside the monomial class"),
+    ([[Fraction(2, 3), Fraction(1, 5)], [0, Fraction(2, 3)]], [[0, 0], [0, 0]], "classify",
+     "semisimplification not supported for this eigenstructure (Phi not diagonalizable)"),
+])
+def test_q_path_domain_errors_have_exact_messages(phi, nn, step, message):
+    with pytest.raises(DomainError) as exc:
+        m = MatrixWD.make(phi, nn)
+        assert step == "classify" and m.field == "Q"
+        classify(m)
+    assert type(exc.value) is DomainError and str(exc.value) == message
 
 
 _BLOCKS = st.tuples(st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(5, 7)]),

@@ -1,6 +1,7 @@
 """T-polynomials with plain coefficients: exact division, divisibility and
 the RatFuncT normal form in R[T], R = Q(sqrt q)[x, 1/x]."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from llct import session
 from llct.exact import (Coef, DomainError, PolyT, RatFuncT, Scalar, _coef_div,
                         poly_divides)
-from llct.linalg import (FE, FieldFE, poly_divmod_f, poly_gcd_plain, poly_prem,
-                         scalar_to_fe)
+from llct.linalg import (FE, FieldFE, FieldK, _prem, poly_divmod_f, poly_gcd_plain,
+                         poly_prem, scalar_to_fe)
 
 # Size caps: T-degree <= 2 for each factor, <= 3 terms per coefficient,
 # x-exponents in [-1, 1], at most one q^(1/2), numerators in [-5, 5] and
@@ -118,6 +119,44 @@ def test_poly_divides_with_unit_lead_matches_unscaled_prem(q, sa, lead, sc, sd,
     if multiple:
         b = a * b + a * poly(sd)
     assert poly_divides(a, b) == (not poly_prem(b, a))
+
+
+def prem_unskipped(a, b, is_zero):
+    """The reference for _prem: a pseudo-remainder that multiplies by lead(b)
+    at every step, also when lead(b) is one."""
+    r, n = list(a), len(b) - 1
+    while len(r) > n:
+        lead = r.pop()
+        r = [b[-1] * c for c in r]
+        for i in range(n):
+            r[len(r) - n + i] -= lead * b[i]
+        while r and is_zero(r[-1]):
+            r.pop()
+    return r
+
+
+def test_prem_with_a_leading_one_matches_the_unskipped_form():
+    """Seeded inputs over Z (entries up to 10^6) and over R[T]: lead(b) is
+    the ring's one in two of three cases, and anything else in the third."""
+    rng = random.Random(3301)
+    for _ in range(300):
+        b = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(0, 6))]
+        b.append(1 if rng.random() < 2 / 3 else rng.choice([-1, 2, -7, 10 ** 6]))
+        a = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(0, 14))]
+        assert _prem(a, b) == prem_unskipped(a, b, lambda c: c == 0)
+    term = lambda: (rng.randint(-5, 5), rng.randint(1, 3), rng.randint(0, 1),
+                    rng.randint(-1, 1))
+    for q in (2, 3, 4, 5, 9):
+        session.set_q(q)
+        for _ in range(40):
+            b = [coef([term() for _ in range(rng.randint(0, 3))])
+                 for _ in range(rng.randint(0, 3))]
+            b.append(Coef.one() if rng.random() < 2 / 3 else coef([term(), term()]))
+            if b[-1].is_zero():
+                continue
+            a = [coef([term() for _ in range(rng.randint(0, 3))])
+                 for _ in range(rng.randint(0, 7))]
+            assert _prem(a, b, FieldK) == prem_unskipped(a, b, Coef.is_zero)
 
 
 def test_coef_div_by_zero_is_none():
